@@ -26,12 +26,11 @@ count (each store built/mapped in a fresh subprocess, VmRSS delta).
 A second, survivor-heavy leg (DESIGN.md §16) synthesizes a mix built to
 *defeat* the vector reject — hyphen-rich organics, combo-prefix and
 homograph-bucket near-misses, true squats, a pinch of ``xn--`` rows —
-and runs it through the in-kernel family matchers against the PR 5
-legacy twin (``in_kernel=False``): identical digests (including a
-forced-wider matrix, the streaming delta-scan shape, and the serve
-engine's ``classify_batch`` against ``offline_verdicts``), a scalar
-fallback rate under 1%, and at default scale >= 2x over the legacy
-scalar tail.  A ``BENCH_zone_scale.json`` summary is written for the
+and runs it through the in-kernel family matchers: digests identical to
+the dict-backed reference (including a forced-wider matrix, the
+streaming delta-scan shape, and the serve engine's ``classify_batch``
+against ``offline_verdicts``) and a scalar fallback rate under 1%.
+A ``BENCH_zone_scale.json`` summary is written for the
 perf trajectory; CI runs the smoke scale and archives the JSON as an
 artifact.
 
@@ -138,8 +137,8 @@ def synth_survivor_names(n_records, catalog, seed=2203):
     purpose — hyphen-rich organics, combo-prefix near-misses, homograph-
     bucket near-misses (interior rotations keep length, edge characters,
     and the allowed-character set), true squats, and a 0.2% pinch of
-    ``xn--`` rows that must fall back — so the kernel-vs-legacy delta
-    measures the in-kernel family matchers themselves.
+    ``xn--`` rows that must fall back — so the leg times the in-kernel
+    family matchers themselves.
     """
     rng = np.random.default_rng(seed)
     brands = [brand.core_label for brand in catalog
@@ -207,12 +206,10 @@ def _run_leg(label, detector, zone, workers):
     }
 
 
-def _run_kernel_leg(label, detector, zone, workers, in_kernel=True,
-                    width=None):
-    """One packed scan with explicit kernel mode + KernelStats surfaced."""
+def _run_kernel_leg(label, detector, zone, workers, width=None):
+    """One packed scan with its KernelStats surfaced."""
     started = time.perf_counter()
-    matches = packed_scan(detector, zone, workers=workers, width=width,
-                          in_kernel=in_kernel)
+    matches = packed_scan(detector, zone, workers=workers, width=width)
     elapsed = time.perf_counter() - started
     stats = packedscan.take_last_scan_stats()
     return {
@@ -230,19 +227,17 @@ def _run_kernel_leg(label, detector, zone, workers, in_kernel=True,
 
 
 # ----------------------------------------------------------------------
-# survivor-heavy legs: the in-kernel matchers vs the PR 5 scalar tail
+# survivor-heavy legs: the in-kernel family matchers
 # ----------------------------------------------------------------------
 
-def _survivor_bench(detector, catalog, n_records, kernel_floor,
-                    fallback_ceiling=0.01):
-    """Kernel-vs-legacy scan over the survivor-heavy mix.
+def _survivor_bench(detector, catalog, n_records, fallback_ceiling=0.01):
+    """Kernel scan over the survivor-heavy mix.
 
-    Asserts every leg (legacy twin, kernel, kernel at a forced wider
-    matrix — the streaming delta-scan shape, and the serve engine's
+    Asserts every leg (kernel, kernel at a forced wider matrix — the
+    streaming delta-scan shape, and the serve engine's
     ``classify_batch``) is byte-identical to the dict-backed serial
-    reference, the kernel's scalar-fallback rate stays under
-    ``fallback_ceiling``, and (when ``kernel_floor`` is set) the kernel
-    beats the legacy twin by the floor, min-of-attempts timed.
+    reference, and the kernel's scalar-fallback rate stays under
+    ``fallback_ceiling``.
     """
     names = synth_survivor_names(n_records, catalog)
     dict_zone = build_dict_zone(names)
@@ -251,26 +246,10 @@ def _survivor_bench(detector, catalog, n_records, kernel_floor,
     workers = WORKER_COUNTS[-1]
     natural = PackedScanContext(detector, zone).width
 
-    legacy = _run_kernel_leg("survivor-legacy", detector, zone, workers,
-                             in_kernel=False)
     kernel = _run_kernel_leg("survivor-kernel", detector, zone, workers)
     forced = _run_kernel_leg("survivor-kernel-wide", detector, zone,
                              workers=1, width=natural + 8)
-    legs = [legacy, kernel, forced]
-
-    def _speedup():
-        return legacy["seconds"] / max(kernel["seconds"], 1e-9)
-
-    retries = 0
-    while (kernel_floor is not None and _speedup() < kernel_floor
-           and retries < 2):
-        retries += 1
-        again_legacy = _run_kernel_leg("survivor-legacy", detector, zone,
-                                       workers, in_kernel=False)
-        again_kernel = _run_kernel_leg("survivor-kernel", detector, zone,
-                                       workers)
-        legacy["seconds"] = min(legacy["seconds"], again_legacy["seconds"])
-        kernel["seconds"] = min(kernel["seconds"], again_kernel["seconds"])
+    legs = [kernel, forced]
 
     # the serving path shares the matchers: engine verdicts over a query
     # sample must equal the per-name reference oracle
@@ -290,7 +269,6 @@ def _survivor_bench(detector, catalog, n_records, kernel_floor,
         ),
     )
 
-    speedup = _speedup()
     for leg in legs:
         assert leg["digest"] == reference, \
             f"{leg['leg']} diverged from the dict-serial reference scan"
@@ -298,15 +276,9 @@ def _survivor_bench(detector, catalog, n_records, kernel_floor,
     assert kernel["fallback_rate"] < fallback_ceiling, (
         f"kernel fallback rate {kernel['fallback_rate']:.4f} exceeds "
         f"{fallback_ceiling}")
-    if kernel_floor is not None:
-        assert speedup >= kernel_floor, (
-            f"expected >= {kernel_floor}x kernel speedup over the legacy "
-            f"scalar tail, measured {speedup:.2f}x")
     return {
         "records": n_records,
         "runs": legs,
-        "timing_attempts": retries + 1,
-        "kernel_speedup_vs_legacy": round(speedup, 3),
         "fallback_rate": kernel["fallback_rate"],
         "fallbacks": kernel["fallbacks"],
         "serve_digest_ok": serve_ok,
@@ -444,11 +416,10 @@ def run_bench(scale=SCALE, out_path=OUT_PATH):
                                       again_packed["seconds"])
 
     # survivor-heavy leg: rows that defeat the vector reject, so the
-    # kernel-vs-legacy delta times the in-kernel family matchers
+    # leg times the in-kernel family matchers
     survivor = _survivor_bench(
         detector, catalog,
-        n_records // 5 if speedup_floor is not None else n_records // 3,
-        kernel_floor=2.0 if speedup_floor is not None else None)
+        n_records // 5 if speedup_floor is not None else n_records // 3)
 
     speedup = _speedup()
     summary = {
@@ -465,9 +436,8 @@ def run_bench(scale=SCALE, out_path=OUT_PATH):
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
     line = f"\nwrote {out_path} (packed-4 speedup: {speedup:.2f}x, " \
-           f"kernel vs scalar tail: " \
-           f"{survivor['kernel_speedup_vs_legacy']:.2f}x at " \
-           f"{100 * survivor['fallback_rate']:.3f}% fallback"
+           f"survivor-kernel fallback: " \
+           f"{100 * survivor['fallback_rate']:.3f}%"
     if memory:
         line += f", memory ratio: {memory['ratio']:.1f}x"
     print(line + ")")

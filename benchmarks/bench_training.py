@@ -1,30 +1,28 @@
-"""Training bench: the vectorized learning core vs the reference paths.
+"""Training bench: the learning core serial vs tuned.
 
 PR 4 rewrote the classification stages' hot loops — CART split search,
 tree prediction, feature embedding — as whole-matrix numpy passes, and
 fanned forest trees, CV folds, and feature extraction out over process
-pools.  Both axes are bound by the determinism contract (DESIGN.md §10):
-``legacy_ml`` and the worker counts are throughput knobs that never
-change an output byte.
+pools.  The worker counts are throughput knobs bound by the determinism
+contract (DESIGN.md §10): they never change an output byte.
 
-This bench runs the same default-scale world through three legs:
+This bench runs the same default-scale world through two legs:
 
-* ``legacy-serial``  — ``legacy_ml=True``, all workers 1: the pre-PR
-  reference implementation (the seed's hot paths, kept as twins);
 * ``vectorized-serial`` — the production code, all workers 1;
 * ``vectorized-tuned``  — the production code with ``train_workers`` and
   ``extract_workers`` at ``min(4, cpu_count)``.
 
 It asserts byte-identical CV reports, flagged detections, and verified
-domains across all three, then the headline ≥3× speedup of the tuned leg
-over the legacy baseline on the train + classify stages — the learning
-stages whose hot loops this PR rewrote.  A ``BENCH_training.json``
+domains across both, and reports the tuned leg's speedup on the train +
+classify stages.  (The reference twins of the learning core are unit-test
+oracles only; ``tests/test_ml_models.py`` and friends hold them
+byte-identical to the vectorized paths.)  A ``BENCH_training.json``
 summary is written for the perf trajectory; CI runs the smoke scale and
 archives the JSON as an artifact.
 
 Environment knobs (the ``__main__`` flags override them, for CI):
-    TRAINING_BENCH_SCALE  "default" (400-squat world, speedup assertion)
-                          or "smoke" (tiny world, determinism only).
+    TRAINING_BENCH_SCALE  "default" (400-squat world) or "smoke" (tiny
+                          world).
     TRAINING_BENCH_OUT    summary path (default: BENCH_training.json).
 """
 
@@ -44,7 +42,7 @@ OUT_PATH = os.environ.get("TRAINING_BENCH_OUT", "BENCH_training.json")
 
 TUNED_WORKERS = min(4, os.cpu_count() or 1)
 
-# the stages whose hot loops this PR vectorized / parallelized
+# the learning stages whose time the legs compare
 LEARNING_STAGES = ("train", "classify")
 
 
@@ -54,21 +52,18 @@ def _scale_params(scale):
             dict(n_organic_domains=80, n_squat_domains=80,
                  n_phish_domains=8, phishtank_reports=30),
             dict(cv_folds=3, rf_trees=8),
-            None,  # too small to time meaningfully
         )
     return (
         dict(n_organic_domains=400, n_squat_domains=400,
              n_phish_domains=33, phishtank_reports=133),
         dict(cv_folds=5, rf_trees=20),
-        3.0,
     )
 
 
-def _run_leg(label, world_params, model_params, legacy_ml, workers):
+def _run_leg(label, world_params, model_params, workers):
     """One full pipeline run on a fresh world; returns the summary row."""
     world = build_world(WorldConfig(seed=1803, **world_params))
     pipeline = SquatPhi(world, PipelineConfig(
-        legacy_ml=legacy_ml,
         train_workers=workers,
         extract_workers=workers,
         **model_params,
@@ -80,7 +75,6 @@ def _run_leg(label, world_params, model_params, legacy_ml, workers):
     learning = sum(perf.stage_seconds[s] for s in LEARNING_STAGES)
     return {
         "leg": label,
-        "legacy_ml": legacy_ml,
         "workers": workers,
         "seconds": round(elapsed, 3),
         "learning_seconds": round(learning, 3),
@@ -100,14 +94,11 @@ def _run_leg(label, world_params, model_params, legacy_ml, workers):
 
 
 def run_bench(scale=SCALE, out_path=OUT_PATH):
-    world_params, model_params, speedup_floor = _scale_params(scale)
+    world_params, model_params = _scale_params(scale)
     rows = [
-        _run_leg("legacy-serial", world_params, model_params,
-                 legacy_ml=True, workers=1),
-        _run_leg("vectorized-serial", world_params, model_params,
-                 legacy_ml=False, workers=1),
+        _run_leg("vectorized-serial", world_params, model_params, workers=1),
         _run_leg("vectorized-tuned", world_params, model_params,
-                 legacy_ml=False, workers=TUNED_WORKERS),
+                 workers=TUNED_WORKERS),
     ]
 
     print_exhibit(
@@ -120,59 +111,30 @@ def run_bench(scale=SCALE, out_path=OUT_PATH):
         ),
     )
 
-    baseline, serial, tuned = rows
-
-    def _speedup():
-        return baseline["learning_seconds"] / max(tuned["learning_seconds"],
-                                                  1e-9)
-
-    # single-run stage timings are noisy (the learning stages run ~1 s at
-    # the tuned leg); when the first pass lands under the floor, re-run the
-    # baseline and tuned legs and keep each leg's best time — the standard
-    # min-of-attempts estimator of true cost.  Digests were already
-    # asserted identical, so only the timings are refreshed.
-    retries = 0
-    while speedup_floor is not None and _speedup() < speedup_floor and retries < 2:
-        retries += 1
-        again_base = _run_leg("legacy-serial", world_params, model_params,
-                              legacy_ml=True, workers=1)
-        again_tuned = _run_leg("vectorized-tuned", world_params, model_params,
-                               legacy_ml=False, workers=TUNED_WORKERS)
-        baseline["learning_seconds"] = min(baseline["learning_seconds"],
-                                           again_base["learning_seconds"])
-        tuned["learning_seconds"] = min(tuned["learning_seconds"],
-                                        again_tuned["learning_seconds"])
-
-    speedup = _speedup()
+    serial, tuned = rows
+    speedup = serial["learning_seconds"] / max(tuned["learning_seconds"],
+                                               1e-9)
     summary = {
         "bench": "training",
         "scale": scale,
         "world": world_params,
         "model": model_params,
         "tuned_workers": TUNED_WORKERS,
-        "timing_attempts": retries + 1,
         "runs": rows,
-        "speedup_tuned_vs_legacy_serial": round(speedup, 3),
+        "speedup_tuned_vs_serial": round(speedup, 3),
     }
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
     print(f"\nwrote {out_path} (tuned speedup: {speedup:.2f}x)")
 
-    # determinism contract: legacy_ml and worker counts are throughput
-    # knobs — every leg must produce identical bytes
+    # determinism contract: worker counts are throughput knobs — both
+    # legs must produce identical bytes
     for digest in ("cv_digest", "flagged_digest", "crawl_digest"):
-        assert len({r[digest] for r in rows}) == 1, \
+        assert serial[digest] == tuned[digest], \
             f"{digest} diverged across training-bench legs"
-    assert len({tuple(r["verified_domains"]) for r in rows}) == 1, \
+    assert serial["verified_domains"] == tuned["verified_domains"], \
         "verified domains diverged across training-bench legs"
-    assert serial["cv_rows"] == baseline["cv_rows"]
-
-    # headline acceptance: tuned learning stages at least 3x the legacy
-    # serial baseline (skipped at smoke scale, where runs are too short
-    # to time stably)
-    if speedup_floor is not None:
-        assert speedup >= speedup_floor, \
-            f"expected >= {speedup_floor}x, measured {speedup:.2f}x"
+    assert serial["cv_rows"] == tuned["cv_rows"]
     return summary
 
 
@@ -185,7 +147,7 @@ if __name__ == "__main__":
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny world, determinism assertions only")
+                        help="tiny world")
     parser.add_argument("--out", default=None, help="summary JSON path")
     cli = parser.parse_args()
     run_bench(scale="smoke" if cli.smoke else SCALE,

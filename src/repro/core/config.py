@@ -55,12 +55,6 @@ class PipelineConfig:
     # this directory as the next serving generation (see repro.serve)
     publish_dir: Optional[str] = None
     capture_cache: bool = True
-    # route the learning core (tree split search, prediction, embedding)
-    # and the extraction hot paths (OCR band decode, form-line removal,
-    # spell-checker search) through their pre-vectorization reference
-    # implementations (byte-identical output, much slower) — the baseline
-    # leg of benchmarks/bench_training.py, never a production setting
-    legacy_ml: bool = False
 
     # failure model & resilience (§3.2's crawl-stability fight): the fault
     # plan injects typed, seeded infrastructure failures into the measured

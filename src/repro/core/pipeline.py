@@ -78,7 +78,6 @@ class ExtractorSpec:
     lexicon: Tuple[str, ...]
     fault_plan: Optional[FaultPlan]
     cache_enabled: bool
-    legacy: bool = False
 
     def build(self) -> Tuple[FeatureExtractor, CaptureCache, Optional[FaultInjector]]:
         from repro.ocr.engine import OCREngine as _OCREngine
@@ -89,13 +88,11 @@ class ExtractorSpec:
         cache = CaptureCache(enabled=self.cache_enabled)
         extractor = FeatureExtractor(
             ocr_engine=_OCREngine(error_rate=self.ocr_error_rate,
-                                  fault_injector=injector,
-                                  legacy=self.legacy),
+                                  fault_injector=injector),
             use_ocr=self.use_ocr,
             use_spellcheck=self.use_spellcheck,
             extra_lexicon=list(self.lexicon),
             cache=cache,
-            legacy=self.legacy,
         )
         return extractor, cache, injector
 
@@ -141,13 +138,11 @@ class ModelFactory:
     rf_trees: int
     rf_max_depth: int
     knn_k: int
-    legacy: bool = False
 
     def __call__(self):
         if self.name == "random_forest":
             return RandomForest(n_trees=self.rf_trees,
-                                max_depth=self.rf_max_depth,
-                                legacy=self.legacy)
+                                max_depth=self.rf_max_depth)
         if self.name == "knn":
             return KNearestNeighbors(k=self.knn_k)
         if self.name == "naive_bayes":
@@ -301,13 +296,11 @@ class SquatPhi:
         )
         self.extractor = FeatureExtractor(
             ocr_engine=OCREngine(error_rate=self.config.ocr_error_rate,
-                                 fault_injector=self.fault_injector,
-                                 legacy=self.config.legacy_ml),
+                                 fault_injector=self.fault_injector),
             use_ocr=self.config.use_ocr,
             use_spellcheck=self.config.use_spellcheck,
             extra_lexicon=world.catalog.names(),
             cache=self.capture_cache,
-            legacy=self.config.legacy_ml,
         )
         self.embedder: Optional[FeatureEmbedder] = None
         self.model = None
@@ -440,7 +433,6 @@ class SquatPhi:
             lexicon=tuple(self.world.catalog.names()),
             fault_plan=self.config.fault_plan,
             cache_enabled=self.config.capture_cache,
-            legacy=self.config.legacy_ml,
         )
 
     def _extract_many(
@@ -630,7 +622,6 @@ class SquatPhi:
             rf_trees=self.config.rf_trees,
             rf_max_depth=self.config.rf_max_depth,
             knn_k=self.config.knn_k,
-            legacy=self.config.legacy_ml,
         )
 
     def _make_model(self, name: str):
@@ -654,7 +645,6 @@ class SquatPhi:
         self.embedder = FeatureEmbedder(
             brand_names=self.world.catalog.names(),
             config=self.config.embedding,
-            legacy=self.config.legacy_ml,
         )
         x = self.embedder.fit_transform(features)
         reports: Dict[str, ClassificationReport] = {}
@@ -724,11 +714,8 @@ class SquatPhi:
              capture.screenshot.pixels if capture.screenshot is not None else None)
             for _, _, _, capture in items
         ])
-        if self.config.legacy_ml:
-            scores = [self.score_features(features) for features in features_list]
-        else:
-            vectors = self.embedder.transform(features_list)
-            scores = [float(s) for s in self.model.predict_proba(vectors)]
+        vectors = self.embedder.transform(features_list)
+        scores = [float(s) for s in self.model.predict_proba(vectors)]
         flagged: List[WildDetection] = []
         for (profile, domain, match, capture), features, score in zip(
                 items, features_list, scores):
@@ -890,7 +877,7 @@ class SquatPhi:
     # Config-field slices per stage: only the fields that can change a
     # stage's *results* participate in its fingerprint.  Throughput knobs
     # (scan_workers, crawl_workers, train_workers, extract_workers,
-    # capture_cache, checkpoint_interval, legacy_ml) are deliberately
+    # capture_cache, checkpoint_interval) are deliberately
     # absent — the determinism contract guarantees they cannot change
     # artifacts, so they must not invalidate them; the stage runner
     # rejects slices that name one (see THROUGHPUT_FIELDS).

@@ -68,7 +68,6 @@ class FeatureExtractor:
         use_spellcheck: bool = True,
         extra_lexicon: Optional[list] = None,
         cache=None,
-        legacy: bool = False,
     ) -> None:
         """
         Args:
@@ -78,12 +77,9 @@ class FeatureExtractor:
             cache: optional :class:`~repro.perf.cache.CaptureCache`;
                 memoizes whole extractions by page-content digest and
                 enables the spell checker's word memo.
-            legacy: build any defaulted OCR engine / spell checker on their
-                reference (pre-vectorization) search paths; outputs are
-                byte-identical either way.
         """
-        self.ocr = ocr_engine or OCREngine(legacy=legacy)
-        self.spell = spell_checker or SpellChecker(legacy=legacy)
+        self.ocr = ocr_engine or OCREngine()
+        self.spell = spell_checker or SpellChecker()
         if extra_lexicon:
             self.spell.add_words(extra_lexicon)
         self.use_ocr = use_ocr

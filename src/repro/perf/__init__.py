@@ -7,7 +7,8 @@ that scale:
 
 * :mod:`repro.perf.engine` — sharded process-pool maps (snapshot scan)
   and ordered thread-pool maps (crawl dispatch), both with serial
-  fallbacks and deterministic ordered merges;
+  fallbacks and deterministic ordered merges, plus :class:`PoolSlot`,
+  the per-process state protocol of every pool worker;
 * :mod:`repro.perf.cache` — a content-addressed render/OCR/feature cache
   that lets duplicate page templates (parked pages, marketplace landers,
   template phishing kits) skip the expensive render → OCR → spell-correct
@@ -23,13 +24,14 @@ metadata (see DESIGN.md, "The execution engine's determinism contract").
 """
 
 from repro.perf.cache import CaptureCache
-from repro.perf.engine import process_map, shard, thread_map
+from repro.perf.engine import PoolSlot, process_map, shard, thread_map
 from repro.perf.report import CacheStats, PerfReport
 
 __all__ = [
     "CacheStats",
     "CaptureCache",
     "PerfReport",
+    "PoolSlot",
     "process_map",
     "shard",
     "thread_map",

@@ -6,8 +6,9 @@ finished first:
 
 * :func:`process_map` — CPU-bound fan-out over shards on a
   ``ProcessPoolExecutor``.  Used by the snapshot scan, where each worker
-  rebuilds the detector's indices once (via ``initializer``) and then
-  classifies whole chunks of registered domains.  Shard *work* is
+  gets the detector's indices once (inherited through a
+  :class:`PoolSlot`, or rebuilt by ``initializer``) and then classifies
+  whole chunks of registered domains.  Shard *work* is
   unordered across processes; shard *results* are merged in shard order.
 * :func:`thread_map` — I/O-shaped fan-out on a ``ThreadPoolExecutor``.
   Used by the crawl scheduler, where each task is a self-contained domain
@@ -18,15 +19,22 @@ Both fall back to a plain serial loop when ``workers <= 1`` or there is
 nothing to parallelize — the fallback runs the *same* function over the
 *same* shards, which is how the determinism suite can assert serial and
 parallel runs byte-match.
+
+:class:`PoolSlot` is the one per-process state protocol behind every
+``process_map`` caller whose workers need heavy state (detector indices,
+a scan context, a query engine): build it in the parent, let fork share
+it, rebuild it on spawn.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Callable, Generic, Iterable, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 T = TypeVar("T")
 R = TypeVar("R")
+S = TypeVar("S")
 
 
 def shard(items: Iterable[T], chunk_size: int) -> List[List[T]]:
@@ -69,12 +77,12 @@ def process_map(fn: Callable[[T], R], shards: Sequence[T], workers: int,
                 initargs: Tuple = ()) -> List[R]:
     """Map ``fn`` over ``shards`` on a process pool, results in shard order.
 
-    ``initializer(*initargs)`` runs once per worker process to rebuild
-    per-process state (e.g. detector indices) from picklable inputs, so
-    the heavy index build is paid ``workers`` times, not ``len(shards)``
-    times.  With ``workers <= 1`` or a single shard, runs serially in
-    this process — calling the initializer first so ``fn`` sees the same
-    environment either way.
+    ``initializer(*initargs)`` runs once per worker process to set up
+    per-process state (e.g. detector indices; see :class:`PoolSlot`), so
+    the heavy index build is paid at most ``workers`` times, not
+    ``len(shards)`` times.  With ``workers <= 1`` or a single shard,
+    runs serially in this process — calling the initializer first so
+    ``fn`` sees the same environment either way.
     """
     if workers <= 1 or len(shards) <= 1:
         if initializer is not None:
@@ -83,3 +91,38 @@ def process_map(fn: Callable[[T], R], shards: Sequence[T], workers: int,
     with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
                              initargs=initargs) as pool:
         return list(pool.map(fn, shards))
+
+
+class PoolSlot(Generic[S]):
+    """One keyed slot of per-process pool state.
+
+    The parent calls :meth:`ensure` *before* the pool starts, so
+    fork-start platforms (Linux) hand every worker the finished state as
+    copy-on-write pages.  The worker initializer calls :meth:`ensure`
+    again with the key the parent shipped in its initargs: when the key
+    matches the inherited slot nothing is rebuilt, otherwise (spawn-start
+    platforms, or a stale inherited slot) the state is rebuilt from the
+    picklable initargs.  Task functions then read :attr:`state`.
+
+    Keys carry ``id()`` of live objects (the detector); the slot keeps a
+    strong reference to the state, which must itself hold those objects,
+    so a cached key can never alias a recycled address.  One slot per
+    caller module, so each keeps at most one state alive.
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[Tuple] = None
+        self._state: Optional[S] = None
+
+    def ensure(self, key: Tuple, build: Callable[[], S]) -> S:
+        """The state for ``key``: the cached one, or ``build()``'s."""
+        if self._state is None or self._key != key:
+            self._state = build()
+            self._key = key
+        return self._state
+
+    @property
+    def state(self) -> S:
+        if self._state is None:
+            raise RuntimeError("pool worker used before initialization")
+        return self._state

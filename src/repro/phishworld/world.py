@@ -191,6 +191,14 @@ class WorldConfig:
     # identical, so every scan digest byte-matches the dict-backed world.
     packed_zone: bool = False
 
+    def __post_init__(self) -> None:
+        # every planted phishing domain is also a squat domain; checked
+        # here so a bad size fails typed, before any RNG draw
+        if self.n_phish_domains > self.n_squat_domains:
+            raise ValueError(
+                f"n_phish_domains ({self.n_phish_domains}) must not exceed "
+                f"n_squat_domains ({self.n_squat_domains})")
+
     def scaled(self, factor: float) -> "WorldConfig":
         """A copy with population sizes scaled by ``factor``."""
         return WorldConfig(

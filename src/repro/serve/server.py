@@ -1,10 +1,10 @@
 """The multi-worker serving front.
 
 :func:`serve_load` drives a planned micro-batch stream through one
-engine per worker process.  The worker protocol mirrors the packed
-scan's pool plumbing: the parent prebuilds a :class:`QueryEngine`
-(detector indices, scan context, negative cache) in module state before
-the pool starts, fork-start platforms hand it to every worker as
+engine per worker process.  The worker protocol is the packed scan's:
+the parent prebuilds a :class:`QueryEngine` (detector indices, scan
+context, negative cache) in a :class:`~repro.perf.engine.PoolSlot`
+before the pool starts, fork-start platforms hand it to every worker as
 copy-on-write pages, and the per-worker initializer reduces to a key
 comparison (spawn platforms rebuild from picklable initargs).  Batch
 tasks ship only ``(generation, path, names, dispatch time)`` — workers
@@ -35,6 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dns.packedzone import PackedZone
 from repro.faults.clock import SimClock
+from repro.perf.engine import PoolSlot
 from repro.serve.batcher import plan_batches
 from repro.serve.engine import QueryEngine, Verdict
 from repro.serve.loadgen import percentile
@@ -116,48 +117,31 @@ def _open_pathspec(pathspec: str):
 
 
 # ----------------------------------------------------------------------
-# pool plumbing (same shape as packedscan's _POOL_STATE)
+# pool plumbing: one parent-prebuilt engine per worker.  The key carries
+# the cache-relevant config (detector identity, snapshot digest, negcache
+# knobs) so a bench flipping the negcache between legs never reuses a
+# mismatched engine.
 # ----------------------------------------------------------------------
-
-# parent-prebuilt worker state: {"key", "detector", "engine"}.  The key
-# carries the cache-relevant config (detector identity, snapshot digest,
-# negcache knobs) so a bench flipping the negcache between legs never
-# reuses a mismatched engine; the detector strong ref pins its id.
-_SERVE_STATE: Optional[dict] = None
+_POOL: PoolSlot[QueryEngine] = PoolSlot()
 
 
-def _build_state(detector, zone: PackedZone, generation: int,
-                 use_negcache: bool, ttl: float, capacity: int,
-                 key: Tuple) -> dict:
+def _build_engine(detector, zone: PackedZone, generation: int,
+                  use_negcache: bool, ttl: float,
+                  capacity: int) -> QueryEngine:
     negcache = NegativeVerdictCache(ttl, capacity) if use_negcache else None
-    return {"key": key, "detector": detector,
-            "engine": QueryEngine(detector, zone, generation=generation,
-                                  negcache=negcache)}
-
-
-def _prepare_state(detector, zone: PackedZone, generation: int,
-                   use_negcache: bool, ttl: float, capacity: int) -> Tuple:
-    """Prebuild worker state in the parent; returns the fork-check key."""
-    global _SERVE_STATE
-    key = (id(detector), zone.content_digest, bool(use_negcache),
-           float(ttl), int(capacity))
-    if _SERVE_STATE is None or _SERVE_STATE["key"] != key:
-        _SERVE_STATE = _build_state(detector, zone, generation,
-                                    use_negcache, ttl, capacity, key)
-    return key
+    return QueryEngine(detector, zone, generation=generation,
+                       negcache=negcache)
 
 
 def _serve_pool_init(catalog, generator, key: Tuple, path: str,
                      generation: int, use_negcache: bool, ttl: float,
                      capacity: int) -> None:
-    global _SERVE_STATE
-    key = tuple(key)
-    if _SERVE_STATE is not None and _SERVE_STATE["key"] == key:
-        return  # fork-inherited from the parent, nothing to rebuild
-    from repro.squatting.detector import SquattingDetector  # lazy: no cycle
-    detector = SquattingDetector(catalog, generator)
-    _SERVE_STATE = _build_state(detector, _open_pathspec(path), generation,
-                                use_negcache, ttl, capacity, key)
+    def build() -> QueryEngine:
+        from repro.squatting.detector import SquattingDetector  # lazy: no cycle
+        return _build_engine(SquattingDetector(catalog, generator),
+                             _open_pathspec(path), generation,
+                             use_negcache, ttl, capacity)
+    _POOL.ensure(key, build)
 
 
 def _serve_batch(task: Tuple[int, str, Tuple[str, ...], float]
@@ -167,9 +151,7 @@ def _serve_batch(task: Tuple[int, str, Tuple[str, ...], float]
     batch task; the kernel delta is (rows classified in-kernel, per-reason
     scalar fallback counts)."""
     generation, path, names, now = task
-    state = _SERVE_STATE
-    assert state is not None, "serve worker used before initialization"
-    engine: QueryEngine = state["engine"]
+    engine = _POOL.state
     if engine.generation != generation:
         engine.reload(_open_pathspec(path), generation)
     hits_before = engine.stats.negcache_hits
@@ -269,8 +251,11 @@ def serve_load(detector, zone: PackedZone,
         stats.kernel_rows = engine.stats.kernel_rows
         stats.count_fallbacks(engine.stats.fallbacks)
     else:
-        key = _prepare_state(detector, zone, generation, negcache,
-                             negcache_ttl, negcache_capacity)
+        key = (id(detector), zone.content_digest, bool(negcache),
+               float(negcache_ttl), int(negcache_capacity))
+        _POOL.ensure(key, lambda: _build_engine(
+            detector, zone, generation, negcache, negcache_ttl,
+            negcache_capacity))
         initargs = (detector.catalog, detector.generator, key, path,
                     generation, negcache, negcache_ttl, negcache_capacity)
         with ProcessPoolExecutor(max_workers=workers,

@@ -28,7 +28,7 @@ from repro.dns.idna import ACE_PREFIX, IDNAError, label_to_unicode
 from repro.dns.packedzone import PackedZone
 from repro.dns.records import split_domain
 from repro.dns.zone import ZoneStore
-from repro.perf.engine import process_map, shard
+from repro.perf.engine import PoolSlot, process_map, shard
 from repro.squatting import packedscan
 from repro.squatting.bits import BitsModel
 from repro.squatting.combo import ComboModel
@@ -295,9 +295,8 @@ class SquattingDetector:
         if workers <= 1:
             return self.scan(zone)
         shards = shard(zone.registered_domains(), chunk_size)
-        chunks = process_map(
-            _pool_scan_chunk, shards, workers,
-            initializer=_pool_init, initargs=(self.catalog, self.generator))
+        chunks = process_map(_pool_scan_chunk, shards, workers,
+                             **self._pool_args())
         return [match for chunk in chunks for match in chunk]
 
     def scan_counts(self, zone: "Zone", workers: int = 1,
@@ -320,13 +319,21 @@ class SquattingDetector:
                 counts[match.squat_type] += 1
             return counts
         shards = shard(zone.registered_domains(), chunk_size)
-        chunk_counts = process_map(
-            _pool_count_chunk, shards, workers,
-            initializer=_pool_init, initargs=(self.catalog, self.generator))
+        chunk_counts = process_map(_pool_count_chunk, shards, workers,
+                                   **self._pool_args())
         for histogram in chunk_counts:
             for squat_type, count in histogram.items():
                 counts[squat_type] += count
         return counts
+
+    def _pool_args(self) -> dict:
+        """``process_map`` initializer kwargs for the dict-backed chunk
+        workers, with this detector prebuilt in the pool slot so forked
+        workers inherit it instead of rebuilding the indices."""
+        key = (id(self),)
+        _POOL.ensure(key, lambda: self)
+        return {"initializer": _pool_init,
+                "initargs": (self.catalog, self.generator, key)}
 
 
 def _iter_matches(detector: SquattingDetector,
@@ -344,28 +351,25 @@ def _iter_matches(detector: SquattingDetector,
 
 
 # ----------------------------------------------------------------------
-# process-pool plumbing for scan_sharded: each worker process rebuilds the
-# detector once (initializer) and reuses it for every chunk it claims
+# process-pool plumbing for the dict-backed scans: the parent prebuilds
+# the detector in the pool slot, forked workers inherit it, spawned ones
+# rebuild it once (initializer) and reuse it for every chunk they claim
 # ----------------------------------------------------------------------
-_POOL_DETECTOR: Optional[SquattingDetector] = None
+_POOL: PoolSlot[SquattingDetector] = PoolSlot()
 
 
-def _pool_init(catalog: BrandCatalog, generator: SquattingGenerator) -> None:
-    global _POOL_DETECTOR
-    _POOL_DETECTOR = SquattingDetector(catalog, generator)
+def _pool_init(catalog: BrandCatalog, generator: SquattingGenerator,
+               key: Tuple) -> None:
+    _POOL.ensure(key, lambda: SquattingDetector(catalog, generator))
 
 
 def _pool_scan_chunk(domains: List[str]) -> List[SquatMatch]:
-    detector = _POOL_DETECTOR
-    assert detector is not None, "pool worker used before initialization"
-    return list(_iter_matches(detector, domains))
+    return list(_iter_matches(_POOL.state, domains))
 
 
 def _pool_count_chunk(domains: List[str]) -> Dict[SquatType, int]:
     """Histogram one chunk (the associative piece of ``scan_counts``)."""
-    detector = _POOL_DETECTOR
-    assert detector is not None, "pool worker used before initialization"
     counts: Dict[SquatType, int] = {}
-    for match in _iter_matches(detector, domains):
+    for match in _iter_matches(_POOL.state, domains):
         counts[match.squat_type] = counts.get(match.squat_type, 0) + 1
     return counts

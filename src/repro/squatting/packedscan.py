@@ -33,10 +33,12 @@ Fixed-width ``S`` comparisons ignore trailing NUL padding, which is
 exactly padding-insensitive string equality here: labels are UTF-8 with
 no embedded NULs, so no two distinct labels collapse.
 
-Pool protocol: workers receive only ``(start, stop)`` registered-domain
-id ranges, mmap the snapshot file in their initializer, and scan their
-slices zero-copy — nothing per-chunk is pickled except the per-slice
-match lists and a small stats delta.
+Pool protocol: the parent builds the scan context in a
+:class:`~repro.perf.engine.PoolSlot` before the pool starts; workers
+inherit it on fork (or rebuild it and mmap the snapshot file on spawn),
+receive only ``(start, stop)`` registered-domain id ranges, and scan
+their slices zero-copy — nothing per-chunk is pickled except the
+per-slice match lists and a small stats delta.
 
 This module must not import ``repro.squatting.detector`` at module level
 (the detector imports us for dispatch); workers import it lazily.
@@ -44,6 +46,7 @@ This module must not import ``repro.squatting.detector`` at module level
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -51,7 +54,7 @@ import numpy as np
 
 from repro.dns.packedzone import PackedZone
 from repro.dns.records import split_domain
-from repro.perf.engine import process_map
+from repro.perf.engine import PoolSlot, process_map
 from repro.squatting.bits import pack_window_codes
 from repro.squatting.confusables import CONFUSABLES, ascii_readable_pairs
 from repro.squatting.types import SquatMatch, SquatType
@@ -348,11 +351,9 @@ class DetectorMatrices:
                 groups[int(code)] for code in self.combo_entry_codes]
 
 
-# (id(detector), width) -> (detector, matrices).  A handful of entries per
-# process at most — one per live detector × snapshot shape; the detector
-# strong ref both pins the id against address recycling and keeps the
-# matrices valid for as long as anyone could present the same key.
-_MATRICES_CACHE: Dict[Tuple[int, int], Tuple[object, DetectorMatrices]] = {}
+# detector -> {width: matrices}; weakly keyed, so the builds die with
+# their detector
+_DETECTOR_MATRICES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def detector_matrices(detector, width: int) -> DetectorMatrices:
@@ -362,12 +363,11 @@ def detector_matrices(detector, width: int) -> DetectorMatrices:
     byte cubes); caching here means a process that both scans a snapshot
     and serves queries over it pays for them once.
     """
-    key = (id(detector), width)
-    entry = _MATRICES_CACHE.get(key)
-    if entry is None or entry[0] is not detector:
-        entry = (detector, DetectorMatrices(detector, width))
-        _MATRICES_CACHE[key] = entry
-    return entry[1]
+    by_width = _DETECTOR_MATRICES.setdefault(detector, {})
+    matrices = by_width.get(width)
+    if matrices is None:
+        matrices = by_width[width] = DetectorMatrices(detector, width)
+    return matrices
 
 
 @dataclass
@@ -404,20 +404,12 @@ class _LabelResolution:
 
 
 class PackedScanContext:
-    """Per-process scan state: detector + packed zone + vector indices.
-
-    ``in_kernel=False`` keeps the PR 5 behaviour — every vector-reject
-    survivor goes through the per-domain Python classifier — as a live
-    twin for benchmarking and differential testing; the output is
-    byte-identical either way.
-    """
+    """Per-process scan state: detector + packed zone + vector indices."""
 
     def __init__(self, detector, zone: PackedZone,
-                 width: Optional[int] = None,
-                 in_kernel: bool = True) -> None:
+                 width: Optional[int] = None) -> None:
         self.detector = detector
         self.zone = zone
-        self.in_kernel = bool(in_kernel)
         self.kernel = KernelStats()
         if zone.n_cores:
             lens = np.diff(zone.core_off.astype(np.int64))
@@ -435,7 +427,6 @@ class PackedScanContext:
         self.matrices = matrices
         self.cand_keys = matrices.cand_keys
         self.cand_brands = matrices.cand_brands
-        self.cand_types = matrices.cand_types
         self.brand_keys = matrices.brand_keys
         self.hb_first = matrices.hb_first
         self.hb_last = matrices.hb_last
@@ -502,16 +493,6 @@ class PackedScanContext:
         return _VectorFlags(is_brand, brand_pos, cand_pos, nonascii, hyphen,
                             xn, ok_first, ok_last, present, homograph, combo,
                             keep, fast)
-
-    def _vector_flags(self, padded: np.ndarray,
-                      lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(keep mask, fast candidate position) — the PR 5 reject view.
-
-        ``fast_pos[i] >= 0`` marks a pure step-1 candidate hit; entries
-        kept with ``-1`` need the Python classifier (legacy mode)."""
-        flags = self._flags(padded, lens)
-        fast_pos = np.where(flags.fast, flags.cand_pos, -1)
-        return flags.keep, fast_pos
 
     def _combo_window_hits(self, padded: np.ndarray, rows: int) -> np.ndarray:
         """Mask of labels with any ``combo_w``-byte window in the combo
@@ -855,10 +836,6 @@ class PackedScanContext:
         stats.rows += int(reg_core.size)
         uniq, inv = np.unique(reg_core, return_inverse=True)
         padded, lens = self._gather_labels(uniq)
-        if not self.in_kernel:
-            self._legacy_slice(start, stop, inv, padded, lens,
-                               emit, matches, counts)
-            return matches, counts
         res = self._resolve_labels(padded, lens)
         kind_rows = res.kind[inv]
         stats.survivors += int(res.keep[inv].sum())
@@ -907,53 +884,6 @@ class PackedScanContext:
                 counts[_TYPE_INDEX[match.squat_type]] += 1
         return matches, counts
 
-    def _legacy_slice(self, start: int, stop: int, inv, padded, lens,
-                      emit: bool, matches: List[SquatMatch],
-                      counts: np.ndarray) -> None:
-        """PR 5 survivor loop: every non-candidate survivor runs
-        ``_classify``.  Kept as the live benchmark/differential twin."""
-        stats = self.kernel
-        keep, fast_pos = self._vector_flags(padded, lens)
-        keep_rows = keep[inv]
-        n_keep = int(keep_rows.sum())
-        if n_keep == 0:
-            return
-        stats.survivors += n_keep
-        n_fast = int((fast_pos[inv] >= 0).sum())
-        stats.fast_hits += n_fast
-        stats.count_fallback("scalar", n_keep - n_fast)
-        zone = self.zone
-        tld_ids = zone.reg_tld[start:stop]
-        tlds = zone.tlds
-        core_cache: Dict[int, str] = {}
-        classify = self.detector._classify
-        for position in np.nonzero(keep_rows)[0]:
-            u = int(inv[position])
-            core = core_cache.get(u)
-            if core is None:
-                core = padded[u, :lens[u]].tobytes().decode("utf-8")
-                core_cache[u] = core
-            tld = tlds[tld_ids[position]]
-            domain = f"{core}.{tld}" if tld else core
-            fast_idx = int(fast_pos[u])
-            if fast_idx >= 0:
-                if emit:
-                    matches.append(SquatMatch(
-                        domain=domain,
-                        brand=self.cand_brands[fast_idx],
-                        squat_type=self.cand_types[fast_idx],
-                    ))
-                else:
-                    counts[_TYPE_INDEX[self.cand_types[fast_idx]]] += 1
-                continue
-            match = classify(domain, core)
-            if match is None:
-                continue
-            if emit:
-                matches.append(match)
-            else:
-                counts[_TYPE_INDEX[match.squat_type]] += 1
-
     # ------------------------------------------------------------------
     def classify_batch(self, domains) -> List[Optional[SquatMatch]]:
         """Vectorized ``classify_domain`` over arbitrary domain names.
@@ -992,45 +922,26 @@ class PackedScanContext:
                 .view(np.uint8).reshape(len(encoded), self.width)
             lens = np.fromiter((len(raw) for raw in encoded),
                                dtype=np.int64, count=len(encoded))
-            if self.in_kernel:
-                res = self._resolve_labels(padded, lens)
-                stats.survivors += int(res.keep.sum())
-                stats.fast_hits += int(res.fast.sum())
-                for row in np.nonzero(res.kind != KIND_NONE)[0]:
-                    row = int(row)
-                    i = vec_rows[row]
-                    row_kind = res.kind[row]
-                    if row_kind == KIND_MATCH:
-                        verdicts[i] = SquatMatch(
-                            domain=normalized[i],
-                            brand=res.brands[row],
-                            squat_type=_TYPE_LIST[res.type_code[row]],
-                            detail=res.details[row],
-                        )
-                    elif row_kind == KIND_BRAND:
-                        verdicts[i] = self._wrongtld_verdict(
-                            normalized[i], int(res.brand_pos[row]))
-                    else:
-                        stats.count_fallback(_FB_REASONS[int(res.fb_code[row])])
-                        verdicts[i] = classify(normalized[i], cores[i])
-            else:
-                keep, fast_pos = self._vector_flags(padded, lens)
-                n_keep = int(keep.sum())
-                stats.survivors += n_keep
-                n_fast = int((fast_pos >= 0).sum())
-                stats.fast_hits += n_fast
-                stats.count_fallback("scalar", n_keep - n_fast)
-                for row in np.nonzero(keep)[0]:
-                    i = vec_rows[row]
-                    fast_idx = int(fast_pos[row])
-                    if fast_idx >= 0:
-                        verdicts[i] = SquatMatch(
-                            domain=normalized[i],
-                            brand=self.cand_brands[fast_idx],
-                            squat_type=self.cand_types[fast_idx],
-                        )
-                    else:
-                        verdicts[i] = classify(normalized[i], cores[i])
+            res = self._resolve_labels(padded, lens)
+            stats.survivors += int(res.keep.sum())
+            stats.fast_hits += int(res.fast.sum())
+            for row in np.nonzero(res.kind != KIND_NONE)[0]:
+                row = int(row)
+                i = vec_rows[row]
+                row_kind = res.kind[row]
+                if row_kind == KIND_MATCH:
+                    verdicts[i] = SquatMatch(
+                        domain=normalized[i],
+                        brand=res.brands[row],
+                        squat_type=_TYPE_LIST[res.type_code[row]],
+                        detail=res.details[row],
+                    )
+                elif row_kind == KIND_BRAND:
+                    verdicts[i] = self._wrongtld_verdict(
+                        normalized[i], int(res.brand_pos[row]))
+                else:
+                    stats.count_fallback(_FB_REASONS[int(res.fb_code[row])])
+                    verdicts[i] = classify(normalized[i], cores[i])
         for i in fallback:
             stats.count_fallback("empty" if not cores[i] else "width")
             verdicts[i] = classify(normalized[i], cores[i])
@@ -1068,54 +979,27 @@ def clear_last_scan_stats() -> None:
 
 
 # ----------------------------------------------------------------------
-# pool plumbing: workers get (start, stop) id ranges only, mmap the
-# snapshot once per process, and scan slices zero-copy
+# pool plumbing: the parent builds the context in a PoolSlot before the
+# pool starts; workers get (start, stop) id ranges only and scan slices
+# zero-copy
 # ----------------------------------------------------------------------
-
-# parent-built pool state, (detector, context, key).  Built *before* the
-# process pool starts, so fork-start platforms (Linux) hand every worker
-# the finished detector indices and scan context as copy-on-write pages
-# and the per-worker initializer reduces to a key comparison.  The
-# detector strong ref pins id(detector), so a key can never alias a
-# recycled address while it is cached.
-_POOL_STATE: Optional[Tuple[object, PackedScanContext, Tuple]] = None
-
-
-def _pool_context(detector, zone: PackedZone,
-                  width: Optional[int] = None,
-                  in_kernel: bool = True) -> Tuple[PackedScanContext, Tuple]:
-    """The scan context for (detector, zone, width, mode), cached in
-    module state."""
-    global _POOL_STATE
-    key = (id(detector), zone.content_digest, width or 0, bool(in_kernel))
-    if _POOL_STATE is None or _POOL_STATE[2] != key:
-        _POOL_STATE = (detector,
-                       PackedScanContext(detector, zone, width=width,
-                                         in_kernel=in_kernel), key)
-    return _POOL_STATE[1], key
+_POOL: PoolSlot[PackedScanContext] = PoolSlot()
 
 
 def _packed_pool_init(catalog, generator, path: str, key: Tuple) -> None:
-    global _POOL_STATE
-    key = tuple(key)
-    if _POOL_STATE is not None and _POOL_STATE[2] == key:
-        return  # fork-inherited from the parent, nothing to rebuild
-    # spawn-start platforms (or a stale inherited key): rebuild from the
-    # picklable initargs
-    from repro.squatting.detector import SquattingDetector  # lazy: no cycle
-    detector = SquattingDetector(catalog, generator)
-    width = int(key[2]) or None
-    _POOL_STATE = (detector,
-                   PackedScanContext(detector, PackedZone.load(path),
-                                     width=width, in_kernel=bool(key[3])),
-                   key)
+    def build() -> PackedScanContext:
+        # spawn-start platforms (or a stale inherited slot): rebuild from
+        # the picklable initargs
+        from repro.squatting.detector import SquattingDetector  # lazy: no cycle
+        return PackedScanContext(SquattingDetector(catalog, generator),
+                                 PackedZone.load(path),
+                                 width=int(key[2]) or None)
+    _POOL.ensure(key, build)
 
 
 def _packed_scan_slice(
         bounds: Tuple[int, int]) -> Tuple[List[SquatMatch], KernelStats]:
-    state = _POOL_STATE
-    assert state is not None, "pool worker used before initialization"
-    context = state[1]
+    context = _POOL.state
     before = context.kernel.copy()
     matches = context.scan_slice(*bounds)
     return matches, context.kernel.delta(before)
@@ -1123,9 +1007,7 @@ def _packed_scan_slice(
 
 def _packed_count_slice(
         bounds: Tuple[int, int]) -> Tuple[Dict[SquatType, int], KernelStats]:
-    state = _POOL_STATE
-    assert state is not None, "pool worker used before initialization"
-    context = state[1]
+    context = _POOL.state
     before = context.kernel.copy()
     histogram = context.count_slice(*bounds)
     return histogram, context.kernel.delta(before)
@@ -1136,10 +1018,36 @@ def _slice_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
     return [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
 
 
+def _run_slices(slice_fn, detector, zone: PackedZone, workers: int,
+                chunk_size: int, width: Optional[int]) -> list:
+    """``slice_fn`` over every id slice, results in slice order.
+
+    The context is built (or reused: repeated serial passes over the same
+    (detector, zone, width) share one) before any pool starts, so forked
+    workers inherit it.  The merged :class:`KernelStats` are published
+    via :func:`take_last_scan_stats`.
+    """
+    global _LAST_SCAN_STATS
+    bounds = _slice_bounds(zone.n_registered, chunk_size)
+    key = (id(detector), zone.content_digest, width or 0)
+    _POOL.ensure(key, lambda: PackedScanContext(detector, zone, width=width))
+    if workers <= 1 or len(bounds) <= 1:
+        results = [slice_fn(bound) for bound in bounds]
+    else:
+        path = zone.ensure_file()
+        results = process_map(
+            slice_fn, bounds, workers, initializer=_packed_pool_init,
+            initargs=(detector.catalog, detector.generator, str(path), key))
+    total = KernelStats()
+    for _, delta in results:
+        total.merge(delta)
+    _LAST_SCAN_STATS = total
+    return [chunk for chunk, _ in results]
+
+
 def packed_scan(detector, zone: PackedZone, workers: int = 1,
                 chunk_size: int = PACKED_CHUNK,
-                width: Optional[int] = None,
-                in_kernel: bool = True) -> List[SquatMatch]:
+                width: Optional[int] = None) -> List[SquatMatch]:
     """Vectorized :meth:`SquattingDetector.scan` over a packed zone.
 
     Slice results concatenate in id order, so output equals the serial
@@ -1147,65 +1055,21 @@ def packed_scan(detector, zone: PackedZone, workers: int = 1,
     natural) label-matrix width so repeated scans over differently-sized
     zones — the streaming driver's per-segment delta scans — share one
     cached :class:`DetectorMatrices` build; results are identical at any
-    legal width.  ``in_kernel=False`` routes survivors through the PR 5
-    per-domain classifier loop (the benchmark twin) — identical output,
-    scalar-tail throughput.  Either way the run's :class:`KernelStats`
-    are published via :func:`take_last_scan_stats`.
+    legal width.  The run's :class:`KernelStats` are published via
+    :func:`take_last_scan_stats`.
     """
-    global _LAST_SCAN_STATS
-    bounds = _slice_bounds(zone.n_registered, chunk_size)
-    total = KernelStats()
-    if workers <= 1 or len(bounds) <= 1:
-        context, _ = _pool_context(detector, zone, width, in_kernel)
-        before = context.kernel.copy()
-        matches: List[SquatMatch] = []
-        for start, stop in bounds:
-            matches.extend(context.scan_slice(start, stop))
-        total = context.kernel.delta(before)
-        _LAST_SCAN_STATS = total
-        return matches
-    path = zone.ensure_file()
-    _, key = _pool_context(detector, zone, width, in_kernel)  # prefork
-    chunks = process_map(
-        _packed_scan_slice, bounds, workers,
-        initializer=_packed_pool_init,
-        initargs=(detector.catalog, detector.generator, str(path), key))
-    matches = []
-    for chunk, delta in chunks:
-        matches.extend(chunk)
-        total.merge(delta)
-    _LAST_SCAN_STATS = total
-    return matches
+    chunks = _run_slices(_packed_scan_slice, detector, zone, workers,
+                         chunk_size, width)
+    return [match for chunk in chunks for match in chunk]
 
 
 def packed_scan_counts(detector, zone: PackedZone, workers: int = 1,
                        chunk_size: int = PACKED_CHUNK,
-                       width: Optional[int] = None,
-                       in_kernel: bool = True) -> Dict[SquatType, int]:
+                       width: Optional[int] = None) -> Dict[SquatType, int]:
     """Vectorized :meth:`SquattingDetector.scan_counts` over a packed zone."""
-    global _LAST_SCAN_STATS
     counts: Dict[SquatType, int] = {t: 0 for t in SquatType}
-    bounds = _slice_bounds(zone.n_registered, chunk_size)
-    total = KernelStats()
-    if workers <= 1 or len(bounds) <= 1:
-        context, _ = _pool_context(detector, zone, width, in_kernel)
-        before = context.kernel.copy()
-        histograms = [context.count_slice(start, stop)
-                      for start, stop in bounds]
-        total = context.kernel.delta(before)
-    else:
-        path = zone.ensure_file()
-        _, key = _pool_context(detector, zone, width, in_kernel)  # prefork
-        results = process_map(
-            _packed_count_slice, bounds, workers,
-            initializer=_packed_pool_init,
-            initargs=(detector.catalog, detector.generator, str(path), key))
-        histograms = []
-        for histogram, delta in results:
-            histograms.append(histogram)
-            total.merge(delta)
-    for histogram in histograms:
+    for histogram in _run_slices(_packed_count_slice, detector, zone,
+                                 workers, chunk_size, width):
         for squat_type, count in histogram.items():
             counts[squat_type] += count
-    _LAST_SCAN_STATS = total
     return counts

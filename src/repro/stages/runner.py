@@ -63,7 +63,7 @@ THROUGHPUT_FIELDS = frozenset({
     "scan_workers", "crawl_workers", "train_workers", "extract_workers",
     "enrich_workers", "enrich_hedging",
     "serve_workers", "serve_max_batch", "serve_max_delay",
-    "capture_cache", "checkpoint_interval", "legacy_ml",
+    "capture_cache", "checkpoint_interval",
 })
 
 

@@ -157,12 +157,6 @@ class TestThroughputKnobDeterminism:
         result = self._run(train_workers=workers, extract_workers=workers)
         _assert_byte_equivalent(result, serial_result)
 
-    def test_legacy_ml_path_matches_vectorized(self, serial_result):
-        # the pre-vectorization reference path (bench baseline) must agree
-        # byte for byte with the production vectorized path
-        result = self._run(legacy_ml=True)
-        _assert_byte_equivalent(result, serial_result)
-
     def test_resume_from_store_across_worker_counts(self, serial_result,
                                                     tmp_path):
         store = ArtifactStore(tmp_path / "store")

@@ -1,12 +1,14 @@
 """In-kernel family matchers: byte-identity against the scalar cascade.
 
-The contract under test (DESIGN.md §16): with the in-kernel matchers on
-(the default) or off (the PR 5 legacy twin), at any worker count and any
+The contract under test (DESIGN.md §16): at any worker count and any
 legal forced label width, a packed scan / classify batch produces exactly
 the verdicts the per-domain ``SquattingDetector._classify`` cascade
 produces — the kernels change throughput and the fallback-rate telemetry,
 never a byte of output.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.squatting.bits import (
 from repro.squatting.detector import SquattingDetector
 from repro.squatting.packedscan import (
     PackedScanContext,
+    detector_matrices,
     packed_scan,
     packed_scan_counts,
 )
@@ -132,20 +135,6 @@ def test_kernel_scan_identical_across_workers_and_widths():
                                       width=width) == ref_counts
 
 
-def test_legacy_twin_identical_and_counts_scalar_fallbacks():
-    detector = _paper_detector()
-    names = _adversarial_names()
-    zone, packed = _build_pair(names)
-    reference = digest_squat_matches(detector.scan(zone))
-    got = packed_scan(detector, packed, workers=1, in_kernel=False)
-    assert digest_squat_matches(got) == reference
-    stats = packedscan.take_last_scan_stats()
-    assert stats is not None
-    # legacy mode routes every kept non-candidate row through _classify
-    assert set(stats.fallbacks) == {"scalar"}
-    assert stats.fallbacks["scalar"] == stats.survivors - stats.fast_hits
-
-
 def test_kernel_fallback_rate_is_small_on_adversarial_corpus():
     detector = _paper_detector()
     _zone, packed = _build_pair(_adversarial_names())
@@ -180,14 +169,45 @@ def test_classify_batch_identical_to_classify_domain():
         "FACEBOOK.COM.", "www.facebook.com", "login.faceb00k.net",
         ".com", "com", "", "a" * 100 + ".com", "pаypal.com",
     ]
-    for in_kernel in (True, False):
-        context = PackedScanContext(detector, packed, in_kernel=in_kernel)
-        got = context.classify_batch(queries)
-        expected = [detector.classify_domain(query) for query in queries]
-        assert got == expected
+    context = PackedScanContext(detector, packed)
+    got = context.classify_batch(queries)
+    expected = [detector.classify_domain(query) for query in queries]
+    assert got == expected
     # the over-width and empty queries were counted as unrepresentable
     assert context.kernel.fallbacks.get("width", 0) >= 1
     assert context.kernel.fallbacks.get("empty", 0) >= 1
+
+
+# ----------------------------------------------------------------------
+# matrices cache: one build per (detector, width), dying with the detector
+# ----------------------------------------------------------------------
+
+def _small_catalog():
+    return BrandCatalog(Brand(name=domain.split(".")[0], domain=domain)
+                        for domain in ("facebook.com", "paypal.com"))
+
+
+def test_matrices_reused_per_detector_and_width():
+    detector = SquattingDetector(_small_catalog())
+    _zone, packed = _build_pair(["faceb00k.com", "paypa1.net", "x.org"])
+    first = PackedScanContext(detector, packed).matrices
+    assert PackedScanContext(detector, packed).matrices is first
+    assert detector_matrices(detector, first.width) is first
+    assert detector_matrices(detector, first.width + 3) is not first
+
+
+def test_matrices_die_with_their_detector():
+    _zone, packed = _build_pair(["faceb00k.com", "paypa1.net", "x.org"])
+    refs = []
+    for _ in range(3):
+        detector = SquattingDetector(_small_catalog())
+        context = PackedScanContext(detector, packed)
+        context.scan_slice(0, packed.n_registered)
+        refs.append(weakref.ref(context.matrices))
+        refs.append(weakref.ref(detector_matrices(detector, 40)))
+    del detector, context
+    gc.collect()
+    assert not [ref for ref in refs if ref() is not None]
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,14 @@ worker count, with and without the capture cache, under faults, and
 across checkpoint/resume splits (DESIGN.md, "The execution engine's
 determinism contract")."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core import PipelineConfig, SquatPhi
 from repro.faults import FaultPlan
-from repro.perf import CaptureCache, PerfReport, process_map, shard, thread_map
+from repro.perf import (CaptureCache, PerfReport, PoolSlot, process_map,
+                        shard, thread_map)
 from repro.phishworld.world import WorldConfig, build_world
 from repro.squatting.detector import SquattingDetector
 
@@ -57,6 +60,54 @@ class TestProcessMap:
         out = process_map(lambda c: c, [[1]], workers=1,
                           initializer=called.append, initargs=("init",))
         assert out == [[1]] and called == ["init"]
+
+
+_SLOT: PoolSlot = PoolSlot()
+
+
+def _slot_init(key):
+    _SLOT.ensure(key, lambda: "rebuilt")
+
+
+def _slot_read(_item):
+    return _SLOT.state
+
+
+class TestPoolSlot:
+    def test_matching_key_keeps_state_without_building(self):
+        slot = PoolSlot()
+        state = object()
+        assert slot.ensure((7, "zone"), lambda: state) is state
+
+        def fail():
+            raise AssertionError("builder called for a matching key")
+
+        assert slot.ensure((7, "zone"), fail) is state
+        assert slot.state is state
+
+    def test_different_key_rebuilds(self):
+        slot = PoolSlot()
+        slot.ensure((1,), lambda: "old")
+        assert slot.ensure((2,), lambda: "new") == "new"
+        assert slot.state == "new"
+
+    def test_state_before_ensure_raises(self):
+        with pytest.raises(RuntimeError):
+            PoolSlot().state
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="inheritance needs fork-start workers")
+    def test_forked_workers_inherit_or_rebuild_by_key(self):
+        _SLOT.ensure(("parent",), lambda: "parent")
+        inherited = process_map(_slot_read, [0, 1, 2], workers=2,
+                                initializer=_slot_init,
+                                initargs=(("parent",),))
+        assert inherited == ["parent"] * 3
+        rebuilt = process_map(_slot_read, [0, 1, 2], workers=2,
+                              initializer=_slot_init,
+                              initargs=(("other",),))
+        assert rebuilt == ["rebuilt"] * 3
+        assert _SLOT.state == "parent"
 
 
 # ----------------------------------------------------------------------

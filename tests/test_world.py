@@ -80,6 +80,12 @@ class TestDeterminism:
         assert sorted(r.name for r in a.zone) != sorted(r.name for r in b.zone)
 
 
+class TestValidation:
+    def test_more_phish_than_squats_rejected_before_build(self):
+        with pytest.raises(ValueError, match="n_phish_domains.*n_squat_domains"):
+            WorldConfig(n_squat_domains=120)
+
+
 class TestScaling:
     def test_scaled_config(self):
         config = WorldConfig().scaled(0.1)
