@@ -390,11 +390,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     perf = PerfReport()
     perf.record_stage("serve", stats.wall_seconds)
-    perf.record_serving(stats.queries, stats.batches, stats.wall_seconds,
-                        swaps=stats.generation_swaps,
-                        negcache_hits=stats.negcache_hits,
-                        kernel_rows=stats.kernel_rows,
-                        fallbacks=stats.fallbacks)
+    perf.record_serving(stats)
     print(perf.format_timings(), file=sys.stderr)
     print(f"  p50 {stats.p50_ms:.3f} ms, p99 {stats.p99_ms:.3f} ms "
           f"({stats.qps:.0f} qps, {stats.workers} workers)",

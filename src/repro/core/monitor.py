@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.pipeline import SquatPhi
 from repro.dns.zone import ZoneStore
-from repro.squatting.detector import SquattingDetector
 from repro.squatting.types import SquatMatch
 from repro.web.http import MOBILE_UA, WEB_UA
 
@@ -58,7 +57,7 @@ class BrandMonitor:
         self.brands = set(brands)
         self.threshold = (threshold if threshold is not None
                           else pipeline.config.decision_threshold)
-        self.detector = SquattingDetector(pipeline.world.catalog)
+        self.detector = pipeline.detector
         self._known_domains: Set[str] = set()
         self._alerted: Set[str] = set()
         self.rounds = 0

@@ -273,6 +273,11 @@ class SquatPhi:
     ) -> None:
         self.world = world
         self.config = config or PipelineConfig()
+        if self.config.publish_dir and not isinstance(world.zone, PackedZone):
+            raise ValueError(
+                "PipelineConfig.publish_dir needs a world built with "
+                "packed_zone=True: a dict-backed zone has no snapshot "
+                "file to publish")
         self.detector = SquattingDetector(world.catalog)
         # failure model: one simulated clock + injector shared by every
         # stage, so fault weather is consistent (and reproducible) across
@@ -361,11 +366,11 @@ class SquatPhi:
     def detect_squatting(self, zone=None) -> List[SquatMatch]:
         """Scan the DNS snapshot for squatting domains (§3.1).
 
-        ``config.scan_workers > 1`` shards the zone across a process pool;
-        the ordered merge makes the result identical to a serial scan.
         Packed zones (``zone`` or ``world.zone`` a
-        :class:`~repro.dns.packedzone.PackedZone`) additionally route
-        through the vectorized mmap kernel — same results, much faster.
+        :class:`~repro.dns.packedzone.PackedZone`) run the vectorized mmap
+        kernel at any worker count; ``config.scan_workers > 1`` runs it
+        over a process pool, packing a dict-backed zone first.  The
+        ordered merge makes the result identical to a serial scan.
         """
         if zone is None:
             zone = self.world.zone
@@ -1129,7 +1134,7 @@ class SquatPhi:
                                  "verification_seed"),
                   digesters={"verified": digest_verified}),
         ]
-        if packed and self.config.publish_dir:
+        if self.config.publish_dir:
             stages.append(Stage(
                 name="publish", compute=self._stage_publish,
                 inputs=("enriched_zone",), outputs=("published",),

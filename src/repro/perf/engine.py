@@ -6,9 +6,9 @@ finished first:
 
 * :func:`process_map` — CPU-bound fan-out over shards on a
   ``ProcessPoolExecutor``.  Used by the snapshot scan, where each worker
-  gets the detector's indices once (inherited through a
+  gets the packed scan context once (inherited through a
   :class:`PoolSlot`, or rebuilt by ``initializer``) and then classifies
-  whole chunks of registered domains.  Shard *work* is
+  whole id slices of registered domains.  Shard *work* is
   unordered across processes; shard *results* are merged in shard order.
 * :func:`thread_map` — I/O-shaped fan-out on a ``ThreadPoolExecutor``.
   Used by the crawl scheduler, where each task is a self-contained domain
@@ -21,8 +21,8 @@ nothing to parallelize — the fallback runs the *same* function over the
 parallel runs byte-match.
 
 :class:`PoolSlot` is the one per-process state protocol behind every
-``process_map`` caller whose workers need heavy state (detector indices,
-a scan context, a query engine): build it in the parent, let fork share
+``process_map`` caller whose workers need heavy state (a scan context,
+a query engine): build it in the parent, let fork share
 it, rebuild it on spawn.
 """
 

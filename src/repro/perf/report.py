@@ -81,6 +81,77 @@ class CacheStats:
 
 
 @dataclass
+class KernelStats:
+    """Packed-scan kernel accounting (:mod:`repro.squatting.packedscan`):
+    throughput metadata, never digest input.
+
+    ``rows`` counts every label presented to the kernel (slice rows or
+    query names), ``survivors`` the rows that survived the vector reject,
+    ``fast_hits`` the candidate-join rows among them.
+    ``homograph_assists`` counts unique labels the vector homograph
+    matcher handed to the scalar bucket walk (multi-candidate buckets or
+    length-changing confusables — still resolved without the full
+    cascade).  ``fallbacks`` maps fallback reason -> row count for the
+    rows that ran the per-domain Python classifier.
+    """
+
+    rows: int = 0
+    survivors: int = 0
+    fast_hits: int = 0
+    homograph_assists: int = 0
+    fallbacks: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def fallback_total(self) -> int:
+        return sum(self.fallbacks.values())
+
+    @property
+    def fallback_rate(self) -> float:
+        return self.fallback_total / self.rows if self.rows else 0.0
+
+    def count_fallback(self, reason: str, n: int = 1) -> None:
+        if n:
+            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + n
+
+    def copy(self) -> "KernelStats":
+        return KernelStats(self.rows, self.survivors, self.fast_hits,
+                           self.homograph_assists, dict(self.fallbacks))
+
+    def delta(self, before: "KernelStats") -> "KernelStats":
+        """This snapshot minus an earlier one (for per-call accounting)."""
+        fallbacks = {
+            reason: count - before.fallbacks.get(reason, 0)
+            for reason, count in self.fallbacks.items()
+            if count - before.fallbacks.get(reason, 0)
+        }
+        return KernelStats(self.rows - before.rows,
+                           self.survivors - before.survivors,
+                           self.fast_hits - before.fast_hits,
+                           self.homograph_assists - before.homograph_assists,
+                           fallbacks)
+
+    def merge(self, other: Optional["KernelStats"]) -> None:
+        if other is None:
+            return
+        self.rows += other.rows
+        self.survivors += other.survivors
+        self.fast_hits += other.fast_hits
+        self.homograph_assists += other.homograph_assists
+        for reason, count in other.fallbacks.items():
+            self.count_fallback(reason, count)
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "rows": self.rows,
+            "survivors": self.survivors,
+            "fast_hits": self.fast_hits,
+            "homograph_assists": self.homograph_assists,
+            "fallbacks": dict(sorted(self.fallbacks.items())),
+            "fallback_rate": self.fallback_rate,
+        }
+
+
+@dataclass
 class PerfReport:
     """Execution profile of one pipeline run.
 
@@ -100,6 +171,9 @@ class PerfReport:
         train_seconds: wall clock spent fitting and cross-validating.
         registered_scanned: registered domains classified by the zone scan.
         scan_seconds: wall clock spent scanning the zone snapshot.
+        scan_kernel / serve_kernel / stream_kernel: the packed-scan
+            kernel's :class:`KernelStats` per front (batch scan, serving,
+            streaming).
         peak_rss_kb: peak resident set size sampled after the run (KB).
         cache: the run's :class:`CacheStats` (shared with the cache object,
             so it is always current).
@@ -119,8 +193,7 @@ class PerfReport:
     train_seconds: float = 0.0
     registered_scanned: int = 0
     scan_seconds: float = 0.0
-    scan_kernel_rows: int = 0
-    scan_fallbacks: Dict[str, int] = field(default_factory=dict)
+    scan_kernel: KernelStats = field(default_factory=KernelStats)
     enrichments_done: int = 0
     enrich_seconds: float = 0.0
     hedges_fired: int = 0
@@ -131,8 +204,7 @@ class PerfReport:
     serve_batches: int = 0
     serve_swaps: int = 0
     serve_negcache_hits: int = 0
-    serve_kernel_rows: int = 0
-    serve_fallbacks: Dict[str, int] = field(default_factory=dict)
+    serve_kernel: KernelStats = field(default_factory=KernelStats)
     stream_events: int = 0
     stream_seconds: float = 0.0
     stream_segments: int = 0
@@ -140,8 +212,7 @@ class PerfReport:
     stream_compactions: int = 0
     stream_detections: int = 0
     stream_latency_p50: float = 0.0
-    stream_kernel_rows: int = 0
-    stream_fallbacks: Dict[str, int] = field(default_factory=dict)
+    stream_kernel: KernelStats = field(default_factory=KernelStats)
     diff_pairs: int = 0
     diff_seconds: float = 0.0
     peak_rss_kb: int = 0
@@ -167,27 +238,16 @@ class PerfReport:
         self.folds_fitted += folds
         self.train_seconds += seconds
 
-    @staticmethod
-    def _merge_fallbacks(into: Dict[str, int],
-                         families: Optional[Dict[str, int]]) -> None:
-        for reason, count in (families or {}).items():
-            if count:
-                into[reason] = into.get(reason, 0) + count
-
     def record_scan(self, domains: int, seconds: float,
-                    kernel=None) -> None:
+                    kernel: Optional[KernelStats] = None) -> None:
         """Accumulate one zone scan (registered domains classified).
 
-        ``kernel`` (optional) is the scan's
-        :class:`~repro.squatting.packedscan.KernelStats` — per-family
-        fallback counts land here as throughput metadata only (the
-        digest-ban contract lives in the stage runner's
-        ``THROUGHPUT_FIELDS``)."""
+        ``kernel`` is the scan's :class:`KernelStats` (None when no
+        kernel ran) — throughput metadata only (the digest-ban contract
+        lives in the stage runner's ``THROUGHPUT_FIELDS``)."""
         self.registered_scanned += domains
         self.scan_seconds += seconds
-        if kernel is not None:
-            self.scan_kernel_rows += kernel.rows
-            self._merge_fallbacks(self.scan_fallbacks, kernel.fallbacks)
+        self.scan_kernel.merge(kernel)
 
     def record_enrichment(self, tasks: int, seconds: float,
                           hedges_fired: int = 0,
@@ -204,24 +264,19 @@ class PerfReport:
         self.negcache_hits += negcache_hits
         self.negcache_misses += negcache_misses
 
-    def record_serving(self, queries: int, batches: int, seconds: float,
-                       swaps: int = 0, negcache_hits: int = 0,
-                       kernel_rows: int = 0,
-                       fallbacks: Optional[Dict[str, int]] = None) -> None:
+    def record_serving(self, stats) -> None:
         """Accumulate one serving burst (query front stats).
 
-        The serving negcache is a different cache from the resolver's
+        ``stats`` is a :class:`~repro.serve.server.ServeStats`.  The
+        serving negcache is a different cache from the resolver's
         (verdicts vs lookup results), so its hits are tracked apart.
-        ``kernel_rows``/``fallbacks`` carry the classify-batch kernel's
-        per-family fallback accounting.
         """
-        self.queries_served += queries
-        self.serve_batches += batches
-        self.serve_seconds += seconds
-        self.serve_swaps += swaps
-        self.serve_negcache_hits += negcache_hits
-        self.serve_kernel_rows += kernel_rows
-        self._merge_fallbacks(self.serve_fallbacks, fallbacks)
+        self.queries_served += stats.queries
+        self.serve_batches += stats.batches
+        self.serve_seconds += stats.wall_seconds
+        self.serve_swaps += stats.generation_swaps
+        self.serve_negcache_hits += stats.negcache_hits
+        self.serve_kernel.merge(stats.kernel)
 
     def record_streaming(self, stats) -> None:
         """Accumulate one streaming run (driver stats).
@@ -237,9 +292,7 @@ class PerfReport:
         self.stream_compactions += stats.compactions
         self.stream_detections += stats.detections
         self.stream_latency_p50 = stats.latency_p50
-        self.stream_kernel_rows += getattr(stats, "kernel_rows", 0)
-        self._merge_fallbacks(self.stream_fallbacks,
-                              getattr(stats, "fallbacks", None))
+        self.stream_kernel.merge(stats.kernel)
 
     def record_lifecycle(self, pairs: int, seconds: float) -> None:
         """Accumulate one snapshot-diff fan-out (lifecycle analytics)."""
@@ -288,24 +341,6 @@ class PerfReport:
         total = self.negcache_hits + self.negcache_misses
         return self.negcache_hits / total if total else 0.0
 
-    @staticmethod
-    def _fallback_rate(rows: int, fallbacks: Dict[str, int]) -> float:
-        return sum(fallbacks.values()) / rows if rows else 0.0
-
-    @property
-    def scan_fallback_rate(self) -> float:
-        return self._fallback_rate(self.scan_kernel_rows, self.scan_fallbacks)
-
-    @property
-    def serve_fallback_rate(self) -> float:
-        return self._fallback_rate(self.serve_kernel_rows,
-                                   self.serve_fallbacks)
-
-    @property
-    def stream_fallback_rate(self) -> float:
-        return self._fallback_rate(self.stream_kernel_rows,
-                                   self.stream_fallbacks)
-
     @property
     def total_seconds(self) -> float:
         return sum(self.stage_seconds.values())
@@ -329,9 +364,9 @@ class PerfReport:
             "registered_scanned": self.registered_scanned,
             "scan_seconds": round(self.scan_seconds, 4),
             "scan_domains_per_second": round(self.scan_domains_per_second, 1),
-            "scan_kernel_rows": self.scan_kernel_rows,
-            "scan_fallbacks": dict(sorted(self.scan_fallbacks.items())),
-            "scan_fallback_rate": round(self.scan_fallback_rate, 6),
+            "scan_kernel_rows": self.scan_kernel.rows,
+            "scan_fallbacks": dict(sorted(self.scan_kernel.fallbacks.items())),
+            "scan_fallback_rate": round(self.scan_kernel.fallback_rate, 6),
             "enrichments_done": self.enrichments_done,
             "enrich_seconds": round(self.enrich_seconds, 4),
             "enrichments_per_second": round(self.enrichments_per_second, 1),
@@ -345,9 +380,9 @@ class PerfReport:
             "serve_batches": self.serve_batches,
             "serve_swaps": self.serve_swaps,
             "serve_negcache_hits": self.serve_negcache_hits,
-            "serve_kernel_rows": self.serve_kernel_rows,
-            "serve_fallbacks": dict(sorted(self.serve_fallbacks.items())),
-            "serve_fallback_rate": round(self.serve_fallback_rate, 6),
+            "serve_kernel_rows": self.serve_kernel.rows,
+            "serve_fallbacks": dict(sorted(self.serve_kernel.fallbacks.items())),
+            "serve_fallback_rate": round(self.serve_kernel.fallback_rate, 6),
             "stream_events": self.stream_events,
             "stream_seconds": round(self.stream_seconds, 4),
             "stream_events_per_second": round(self.stream_events_per_second, 1),
@@ -356,9 +391,9 @@ class PerfReport:
             "stream_compactions": self.stream_compactions,
             "stream_detections": self.stream_detections,
             "stream_latency_p50": round(self.stream_latency_p50, 4),
-            "stream_kernel_rows": self.stream_kernel_rows,
-            "stream_fallbacks": dict(sorted(self.stream_fallbacks.items())),
-            "stream_fallback_rate": round(self.stream_fallback_rate, 6),
+            "stream_kernel_rows": self.stream_kernel.rows,
+            "stream_fallbacks": dict(sorted(self.stream_kernel.fallbacks.items())),
+            "stream_fallback_rate": round(self.stream_kernel.fallback_rate, 6),
             "diff_pairs": self.diff_pairs,
             "diff_seconds": round(self.diff_seconds, 4),
             "peak_rss_kb": self.peak_rss_kb,
@@ -407,11 +442,12 @@ class PerfReport:
         return "\n".join(lines)
 
     @staticmethod
-    def _format_fallbacks(fallbacks: Dict[str, int]) -> str:
-        if not fallbacks:
-            return "none"
-        return ", ".join(f"{reason}={count}"
-                         for reason, count in sorted(fallbacks.items()))
+    def _kernel_line(front: str, kernel: KernelStats) -> str:
+        fallbacks = ", ".join(f"{reason}={count}" for reason, count
+                              in sorted(kernel.fallbacks.items())) or "none"
+        return (f"  {front} kernel: {kernel.rows} rows, "
+                f"{100 * kernel.fallback_rate:.3f}% scalar fallback "
+                f"({fallbacks})")
 
     def format_timings(self) -> str:
         """The wall-clock block alone ("" when no stage ran)."""
@@ -437,11 +473,8 @@ class PerfReport:
                 f"  scan: {self.registered_scanned} registered domains in "
                 f"{self.scan_seconds:.2f}s "
                 f"({self.scan_domains_per_second:.0f} domains/s)")
-        if self.scan_kernel_rows:
-            lines.append(
-                f"  scan kernel: {self.scan_kernel_rows} rows, "
-                f"{100 * self.scan_fallback_rate:.3f}% scalar fallback "
-                f"({self._format_fallbacks(self.scan_fallbacks)})")
+        if self.scan_kernel.rows:
+            lines.append(self._kernel_line("scan", self.scan_kernel))
         if self.enrichments_done:
             lines.append(
                 f"  enrichment: {self.enrichments_done} lookups in "
@@ -457,11 +490,8 @@ class PerfReport:
                 f"({self.serve_qps:.0f} qps, "
                 f"{self.serve_swaps} generation swaps, "
                 f"{self.serve_negcache_hits} negcache hits)")
-        if self.serve_kernel_rows:
-            lines.append(
-                f"  serve kernel: {self.serve_kernel_rows} rows, "
-                f"{100 * self.serve_fallback_rate:.3f}% scalar fallback "
-                f"({self._format_fallbacks(self.serve_fallbacks)})")
+        if self.serve_kernel.rows:
+            lines.append(self._kernel_line("serve", self.serve_kernel))
         if self.stream_events:
             lines.append(
                 f"  streaming: {self.stream_events} events in "
@@ -472,11 +502,8 @@ class PerfReport:
                 f"{self.stream_compactions} compactions, "
                 f"{self.stream_detections} detections, "
                 f"p50 latency {self.stream_latency_p50:.2f}s sim)")
-        if self.stream_kernel_rows:
-            lines.append(
-                f"  stream kernel: {self.stream_kernel_rows} rows, "
-                f"{100 * self.stream_fallback_rate:.3f}% scalar fallback "
-                f"({self._format_fallbacks(self.stream_fallbacks)})")
+        if self.stream_kernel.rows:
+            lines.append(self._kernel_line("stream", self.stream_kernel))
         if self.peak_rss_kb:
             lines.append(f"  peak RSS: {self.peak_rss_kb / 1024:.1f} MiB")
         return "\n".join(lines)

@@ -49,7 +49,7 @@ from repro.phishworld.events import (
 )
 from repro.stages.artifacts import digest_packed_zone
 from repro.stages.graph import Stage, StageGraph
-from repro.stages.runner import StageRunner
+from repro.stages.runner import run_keyed
 from repro.stages.store import ArtifactStore
 
 
@@ -161,25 +161,6 @@ class SnapshotSeries:
         return hasher.hexdigest()
 
 
-def _run_snapshot_stage(store: ArtifactStore, run_id: str, context: str,
-                        graph: StageGraph, perf=None):
-    """One snapshot's stage-graph run, resuming from the store when the
-    context digest still matches (the streaming driver's resume recipe)."""
-    previous = None
-    try:
-        candidate = store.load_manifest(run_id)
-        if candidate.context_digest == context:
-            previous = candidate
-    except KeyError:
-        pass
-    runner = StageRunner(graph, store=store, run_id=run_id,
-                         previous=previous, perf=perf,
-                         context_digest=context)
-    outcome = runner.run()
-    cached = all(record.cached for record in outcome.manifest.records.values())
-    return outcome, cached
-
-
 def generate_series(config: Optional[SeriesConfig] = None, *,
                     store: Optional[ArtifactStore] = None,
                     perf=None, series_id: str = "series") -> SnapshotSeries:
@@ -213,8 +194,8 @@ def generate_series(config: Optional[SeriesConfig] = None, *,
     ])
     base_context = hashlib.sha256(
         f"{tape_digest}\n{config.base_events}\nbase".encode()).hexdigest()
-    outcome, cached = _run_snapshot_stage(
-        store, f"{series_id}-snap-000", base_context, base_graph, perf)
+    outcome, cached = run_keyed(
+        base_graph, store, f"{series_id}-snap-000", base_context, perf)
     zone = PackedZone.from_bytes(outcome.artifacts["snapshot_bytes"].payload)
     snapshots.append(DatedSnapshot(
         index=0, date=config.date_of(0), zone=zone,
@@ -258,8 +239,8 @@ def generate_series(config: Optional[SeriesConfig] = None, *,
         context = hashlib.sha256(
             f"{tape_digest}\n{prev_digest}\n{index}\n"
             f"{config.events_per_snapshot}".encode()).hexdigest()
-        outcome, cached = _run_snapshot_stage(
-            store, f"{series_id}-snap-{index:03d}", context, graph, perf)
+        outcome, cached = run_keyed(
+            graph, store, f"{series_id}-snap-{index:03d}", context, perf)
         zone = PackedZone.from_bytes(
             outcome.artifacts["snapshot_bytes"].payload)
         snapshots.append(DatedSnapshot(

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dns.packedzone import PackedZone, _u32_to_ip
 from repro.dns.records import registered_domain
+from repro.perf.report import KernelStats
 from repro.squatting.packedscan import PackedScanContext
 from repro.squatting.types import SquatType
 
@@ -82,10 +83,8 @@ def digest_verdicts(verdicts: Iterable[Verdict]) -> str:
 class EngineStats:
     """Per-engine accounting (throughput metadata, never in a verdict).
 
-    ``kernel_rows``/``fallbacks`` mirror the scan-side
-    :class:`~repro.squatting.packedscan.KernelStats` contract: rows the
-    in-kernel matchers classified versus the per-reason counts of names
-    that fell back to the per-domain Python classifier.
+    ``kernel`` accumulates the classify-batch kernel's
+    :class:`~repro.perf.report.KernelStats` across reloads.
     """
 
     queries: int = 0
@@ -93,20 +92,14 @@ class EngineStats:
     negcache_hits: int = 0
     classified: int = 0
     reloads: int = 0
-    kernel_rows: int = 0
-    fallbacks: Dict[str, int] = field(default_factory=dict)
-
-    def count_fallbacks(self, families: Dict[str, int]) -> None:
-        for reason, count in families.items():
-            if count:
-                self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
+    kernel: KernelStats = field(default_factory=KernelStats)
 
     def as_dict(self) -> Dict[str, object]:
         return {"queries": self.queries, "batches": self.batches,
                 "negcache_hits": self.negcache_hits,
                 "classified": self.classified, "reloads": self.reloads,
-                "kernel_rows": self.kernel_rows,
-                "fallbacks": dict(sorted(self.fallbacks.items()))}
+                "kernel_rows": self.kernel.rows,
+                "fallbacks": dict(sorted(self.kernel.fallbacks.items()))}
 
 
 class QueryEngine:
@@ -203,9 +196,7 @@ class QueryEngine:
             reg_ids = self.zone.registered_ids(pending_names)
             kernel_before = self.context.kernel.copy()
             matches = self.context.classify_batch(pending_names)
-            kernel_delta = self.context.kernel.delta(kernel_before)
-            self.stats.kernel_rows += kernel_delta.rows
-            self.stats.count_fallbacks(kernel_delta.fallbacks)
+            self.stats.kernel.merge(self.context.kernel.delta(kernel_before))
             scorer = self.scorer
             for i, normalized, reg_id, match in zip(
                     pending, pending_names, reg_ids, matches):

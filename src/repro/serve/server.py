@@ -36,6 +36,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.dns.packedzone import PackedZone
 from repro.faults.clock import SimClock
 from repro.perf.engine import PoolSlot
+from repro.perf.report import KernelStats
 from repro.serve.batcher import plan_batches
 from repro.serve.engine import QueryEngine, Verdict
 from repro.serve.loadgen import percentile
@@ -59,22 +60,11 @@ class ServeStats:
     p50_ms: float = 0.0
     p99_ms: float = 0.0
     served_by_generation: Dict[int, int] = field(default_factory=dict)
-    kernel_rows: int = 0
-    fallbacks: Dict[str, int] = field(default_factory=dict)
+    kernel: KernelStats = field(default_factory=KernelStats)
 
     @property
     def qps(self) -> float:
         return self.queries / max(self.wall_seconds, 1e-9)
-
-    @property
-    def fallback_rate(self) -> float:
-        total = sum(self.fallbacks.values())
-        return total / self.kernel_rows if self.kernel_rows else 0.0
-
-    def count_fallbacks(self, families: Dict[str, int]) -> None:
-        for reason, count in families.items():
-            if count:
-                self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -90,9 +80,9 @@ class ServeStats:
             "p50_ms": round(self.p50_ms, 3), "p99_ms": round(self.p99_ms, 3),
             "served_by_generation": {str(gen): count for gen, count
                                      in sorted(self.served_by_generation.items())},
-            "kernel_rows": self.kernel_rows,
-            "fallbacks": dict(sorted(self.fallbacks.items())),
-            "fallback_rate": round(self.fallback_rate, 6),
+            "kernel_rows": self.kernel.rows,
+            "fallbacks": dict(sorted(self.kernel.fallbacks.items())),
+            "fallback_rate": round(self.kernel.fallback_rate, 6),
         }
 
 
@@ -145,26 +135,20 @@ def _serve_pool_init(catalog, generator, key: Tuple, path: str,
 
 
 def _serve_batch(task: Tuple[int, str, Tuple[str, ...], float]
-                 ) -> Tuple[List[Verdict], float, int,
-                            Tuple[int, Dict[str, int]]]:
+                 ) -> Tuple[List[Verdict], float, int, KernelStats]:
     """(verdicts, service seconds, negcache hits, kernel delta) for one
-    batch task; the kernel delta is (rows classified in-kernel, per-reason
-    scalar fallback counts)."""
+    batch task."""
     generation, path, names, now = task
     engine = _POOL.state
     if engine.generation != generation:
         engine.reload(_open_pathspec(path), generation)
     hits_before = engine.stats.negcache_hits
-    rows_before = engine.stats.kernel_rows
-    fb_before = dict(engine.stats.fallbacks)
+    before = engine.stats.kernel.copy()
     started = time.perf_counter()
     verdicts = engine.lookup_batch(list(names), now=now)
     elapsed = time.perf_counter() - started
-    fb_delta = {reason: count - fb_before.get(reason, 0)
-                for reason, count in engine.stats.fallbacks.items()
-                if count - fb_before.get(reason, 0)}
     return (verdicts, elapsed, engine.stats.negcache_hits - hits_before,
-            (engine.stats.kernel_rows - rows_before, fb_delta))
+            engine.stats.kernel.delta(before))
 
 
 # ----------------------------------------------------------------------
@@ -209,20 +193,11 @@ def serve_load(detector, zone: PackedZone,
         if on_dispatch is not None:
             on_dispatch(index)
         if publisher is not None:
-            chain = getattr(publisher, "current_chain", None)
-            if chain is not None:
-                state = chain()
-                if state is not None and state[0] > generation:
-                    generation = state[0]
-                    path = "\n".join(
-                        [str(state[1])] + [str(p) for p in state[2]])
-                    swaps += 1
-            else:
-                state = publisher.current()
-                if state is not None and state[0] > generation:
-                    generation = state[0]
-                    path = str(state[1])
-                    swaps += 1
+            state = publisher.current_chain()
+            if state is not None and state[0] > generation:
+                generation, base, deltas = state
+                path = "\n".join(str(p) for p in [base, *deltas])
+                swaps += 1
 
     results: List[Optional[List[Verdict]]] = [None] * len(batches)
     latencies: List[float] = []
@@ -248,8 +223,7 @@ def serve_load(detector, zone: PackedZone,
                 (batch.dispatch_at - arrival + service) * 1e3
                 for arrival in batch.arrivals)
         stats.negcache_hits = engine.stats.negcache_hits
-        stats.kernel_rows = engine.stats.kernel_rows
-        stats.count_fallbacks(engine.stats.fallbacks)
+        stats.kernel.merge(engine.stats.kernel)
     else:
         key = (id(detector), zone.content_digest, bool(negcache),
                float(negcache_ttl), int(negcache_capacity))
@@ -282,8 +256,7 @@ def serve_load(detector, zone: PackedZone,
                     results[index] = verdicts
                     stats.service_seconds += service
                     stats.negcache_hits += hits
-                    stats.kernel_rows += kernel[0]
-                    stats.count_fallbacks(kernel[1])
+                    stats.kernel.merge(kernel)
                     batch = batches[index]
                     latencies.extend(
                         (batch.dispatch_at - arrival + service) * 1e3

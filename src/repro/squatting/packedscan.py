@@ -47,7 +47,7 @@ This module must not import ``repro.squatting.detector`` at module level
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,13 +55,13 @@ import numpy as np
 from repro.dns.packedzone import PackedZone
 from repro.dns.records import split_domain
 from repro.perf.engine import PoolSlot, process_map
+from repro.perf.report import KernelStats
 from repro.squatting.bits import pack_window_codes
 from repro.squatting.confusables import CONFUSABLES, ascii_readable_pairs
 from repro.squatting.types import SquatMatch, SquatType
 
-# floor on the per-slice registered-domain span: vector setup costs are
-# amortized per slice, so packed slices run much coarser than the 512-
-# domain pickled chunks of the dict-backed pool path
+# per-slice registered-domain span: vector setup costs are amortized per
+# slice, and zones with at most one slice never start a pool
 PACKED_CHUNK = 4096
 
 _HYPHEN = ord("-")
@@ -82,76 +82,6 @@ _TYPE_LIST: List[SquatType] = list(SquatType)
 _TYPE_INDEX: Dict[SquatType, int] = {t: i for i, t in enumerate(_TYPE_LIST)}
 _HOMOGRAPH_CODE = _TYPE_INDEX[SquatType.HOMOGRAPH]
 _COMBO_CODE = _TYPE_INDEX[SquatType.COMBO]
-
-
-@dataclass
-class KernelStats:
-    """Scan-kernel accounting: throughput metadata, never digest input.
-
-    ``rows`` counts every label presented to the kernel (slice rows or
-    query names), ``survivors`` the rows that survived the vector reject,
-    ``fast_hits`` the candidate-join rows among them.
-    ``homograph_assists`` counts unique labels the vector homograph
-    matcher handed to the scalar bucket walk (multi-candidate buckets or
-    length-changing confusables — still resolved without the full
-    cascade).  ``fallbacks`` maps fallback reason -> row count for the
-    rows that ran the per-domain Python classifier.
-    """
-
-    rows: int = 0
-    survivors: int = 0
-    fast_hits: int = 0
-    homograph_assists: int = 0
-    fallbacks: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def fallback_total(self) -> int:
-        return sum(self.fallbacks.values())
-
-    @property
-    def fallback_rate(self) -> float:
-        return self.fallback_total / self.rows if self.rows else 0.0
-
-    def count_fallback(self, reason: str, n: int = 1) -> None:
-        if n:
-            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + n
-
-    def copy(self) -> "KernelStats":
-        return KernelStats(self.rows, self.survivors, self.fast_hits,
-                           self.homograph_assists, dict(self.fallbacks))
-
-    def delta(self, before: "KernelStats") -> "KernelStats":
-        """This snapshot minus an earlier one (for per-call accounting)."""
-        fallbacks = {
-            reason: count - before.fallbacks.get(reason, 0)
-            for reason, count in self.fallbacks.items()
-            if count - before.fallbacks.get(reason, 0)
-        }
-        return KernelStats(self.rows - before.rows,
-                           self.survivors - before.survivors,
-                           self.fast_hits - before.fast_hits,
-                           self.homograph_assists - before.homograph_assists,
-                           fallbacks)
-
-    def merge(self, other: Optional["KernelStats"]) -> None:
-        if other is None:
-            return
-        self.rows += other.rows
-        self.survivors += other.survivors
-        self.fast_hits += other.fast_hits
-        self.homograph_assists += other.homograph_assists
-        for reason, count in other.fallbacks.items():
-            self.count_fallback(reason, count)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "rows": self.rows,
-            "survivors": self.survivors,
-            "fast_hits": self.fast_hits,
-            "homograph_assists": self.homograph_assists,
-            "fallbacks": dict(sorted(self.fallbacks.items())),
-            "fallback_rate": self.fallback_rate,
-        }
 
 
 def _allowed_bytes(label: str, memo: Dict[str, np.ndarray]) -> np.ndarray:
@@ -1013,13 +943,8 @@ def _packed_count_slice(
     return histogram, context.kernel.delta(before)
 
 
-def _slice_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
-    chunk = max(chunk_size, PACKED_CHUNK)
-    return [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-
-
 def _run_slices(slice_fn, detector, zone: PackedZone, workers: int,
-                chunk_size: int, width: Optional[int]) -> list:
+                width: Optional[int]) -> list:
     """``slice_fn`` over every id slice, results in slice order.
 
     The context is built (or reused: repeated serial passes over the same
@@ -1028,7 +953,8 @@ def _run_slices(slice_fn, detector, zone: PackedZone, workers: int,
     via :func:`take_last_scan_stats`.
     """
     global _LAST_SCAN_STATS
-    bounds = _slice_bounds(zone.n_registered, chunk_size)
+    n = zone.n_registered
+    bounds = [(i, min(i + PACKED_CHUNK, n)) for i in range(0, n, PACKED_CHUNK)]
     key = (id(detector), zone.content_digest, width or 0)
     _POOL.ensure(key, lambda: PackedScanContext(detector, zone, width=width))
     if workers <= 1 or len(bounds) <= 1:
@@ -1046,7 +972,6 @@ def _run_slices(slice_fn, detector, zone: PackedZone, workers: int,
 
 
 def packed_scan(detector, zone: PackedZone, workers: int = 1,
-                chunk_size: int = PACKED_CHUNK,
                 width: Optional[int] = None) -> List[SquatMatch]:
     """Vectorized :meth:`SquattingDetector.scan` over a packed zone.
 
@@ -1058,18 +983,16 @@ def packed_scan(detector, zone: PackedZone, workers: int = 1,
     legal width.  The run's :class:`KernelStats` are published via
     :func:`take_last_scan_stats`.
     """
-    chunks = _run_slices(_packed_scan_slice, detector, zone, workers,
-                         chunk_size, width)
+    chunks = _run_slices(_packed_scan_slice, detector, zone, workers, width)
     return [match for chunk in chunks for match in chunk]
 
 
 def packed_scan_counts(detector, zone: PackedZone, workers: int = 1,
-                       chunk_size: int = PACKED_CHUNK,
                        width: Optional[int] = None) -> Dict[SquatType, int]:
     """Vectorized :meth:`SquattingDetector.scan_counts` over a packed zone."""
     counts: Dict[SquatType, int] = {t: 0 for t in SquatType}
     for histogram in _run_slices(_packed_count_slice, detector, zone,
-                                 workers, chunk_size, width):
+                                 workers, width):
         for squat_type, count in histogram.items():
             counts[squat_type] += count
     return counts

@@ -34,7 +34,7 @@ import hashlib
 import inspect
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from repro.stages.artifacts import Artifact, derived_digest
 from repro.stages.graph import Stage, StageGraph
@@ -332,3 +332,27 @@ class StageRunner:
             record.outputs[name] = digest
         ctx.clear_partial()
         return record
+
+
+def run_keyed(graph: StageGraph, store: ArtifactStore, run_id: str,
+              context_digest: str, perf: Any = None,
+              clock: Any = None) -> Tuple[RunOutcome, bool]:
+    """Run ``graph`` under a caller-chosen ``run_id``, resuming from the
+    store's manifest for that id when its context digest still matches.
+
+    The resume recipe shared by keyed per-unit runs (streaming segments,
+    dated series snapshots).  Returns ``(outcome, all_cached)``, where
+    ``all_cached`` is true when every stage was loaded from the store.
+    """
+    previous = None
+    try:
+        candidate = store.load_manifest(run_id)
+        if candidate.context_digest == context_digest:
+            previous = candidate
+    except KeyError:
+        pass
+    outcome = StageRunner(graph, store=store, run_id=run_id,
+                          previous=previous, perf=perf, clock=clock,
+                          context_digest=context_digest).run()
+    cached = all(record.cached for record in outcome.manifest.records.values())
+    return outcome, cached

@@ -51,6 +51,7 @@ from repro.dns.deltazone import (
 )
 from repro.dns.packedzone import PackedZone, pack_zone
 from repro.faults.clock import SimClock
+from repro.perf.report import KernelStats
 from repro.phishworld.events import (
     EventTapeConfig,
     ZoneEvent,
@@ -64,7 +65,7 @@ from repro.squatting import packedscan
 from repro.squatting.packedscan import PackedScanContext, packed_scan
 from repro.stages.artifacts import digest_packed_zone, digest_squat_matches
 from repro.stages.graph import Stage, StageGraph
-from repro.stages.runner import StageRunner
+from repro.stages.runner import run_keyed
 from repro.stages.store import ArtifactStore
 
 PathLike = Union[str, Path]
@@ -87,18 +88,8 @@ class StreamStats:
     live_matches: int = 0
     wall_seconds: float = 0.0
     latencies: List[float] = field(default_factory=list)  # sim seconds
-    kernel_rows: int = 0            # rows seen by the packed-scan kernel
-    fallbacks: Dict[str, int] = field(default_factory=dict)
-
-    def merge_kernel(self, kernel) -> None:
-        """Fold one packed scan's :class:`KernelStats` in (None = cached
-        segment or dict-backed scan: contributes nothing)."""
-        if kernel is None:
-            return
-        self.kernel_rows += kernel.rows
-        for reason, count in kernel.fallbacks.items():
-            if count:
-                self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
+    # packed scans that actually ran (cached segments charge nothing)
+    kernel: KernelStats = field(default_factory=KernelStats)
 
     @property
     def events_per_sec(self) -> float:
@@ -127,8 +118,8 @@ class StreamStats:
             "events_per_sec": round(self.events_per_sec, 1),
             "latency_p50_s": round(self.latency_p50, 4),
             "latency_p95_s": round(self.latency_p95, 4),
-            "kernel_rows": self.kernel_rows,
-            "fallbacks": dict(sorted(self.fallbacks.items())),
+            "kernel_rows": self.kernel.rows,
+            "fallbacks": dict(sorted(self.kernel.fallbacks.items())),
         }
 
 
@@ -250,9 +241,7 @@ class StreamingDriver:
                 return {"segment_matches": []}
             matches = packed_scan(
                 detector, segment.zone, workers=workers, width=width)
-            # cached segments never reach here, so kernel accounting only
-            # charges scans that actually ran
-            stats.merge_kernel(packedscan.take_last_scan_stats())
+            stats.kernel.merge(packedscan.take_last_scan_stats())
             return {"segment_matches": matches}
 
         graph = StageGraph([
@@ -268,19 +257,9 @@ class StreamingDriver:
         run_id = f"{self.stream_id}-seg-{seq:05d}"
         context = hashlib.sha256(
             f"{base_digest}\n{self._tape_digest}\n{seq}".encode()).hexdigest()
-        previous = None
-        try:
-            candidate = self.store.load_manifest(run_id)
-            if candidate.context_digest == context:
-                previous = candidate
-        except KeyError:
-            pass
-        runner = StageRunner(graph, store=self.store, run_id=run_id,
-                             previous=previous, perf=self.perf,
-                             clock=self.clock, context_digest=context)
-        outcome = runner.run()
-        if all(record.cached for record in outcome.manifest.records.values()):
-            stats.cached_segments += 1
+        outcome, cached = run_keyed(graph, self.store, run_id, context,
+                                    perf=self.perf, clock=self.clock)
+        stats.cached_segments += int(cached)
         seg_bytes = outcome.artifacts["segment_bytes"].payload
         seg_matches = outcome.artifacts["segment_matches"].payload
         self._absorb_matches(seg_matches, events, stats)
@@ -319,7 +298,7 @@ class StreamingDriver:
             SegmentedZone(self._base, self._segments).verify()
         compacted = compact(self._base, self._segments)
         batch = packed_scan(self.detector, compacted, workers=self.workers)
-        stats.merge_kernel(packedscan.take_last_scan_stats())
+        stats.kernel.merge(packedscan.take_last_scan_stats())
         streaming = self.current_matches()
         stream_digest = digest_squat_matches(streaming)
         batch_digest = digest_squat_matches(batch)
@@ -375,7 +354,7 @@ class StreamingDriver:
         for match in packed_scan(self.detector, self._base,
                                  workers=self.workers, width=self._width):
             self._match_index[match.domain] = match
-        stats.merge_kernel(packedscan.take_last_scan_stats())
+        stats.kernel.merge(packedscan.take_last_scan_stats())
 
         interrupted = False
         started = time.perf_counter()

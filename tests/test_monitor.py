@@ -31,6 +31,10 @@ class TestBaseline:
         assert added > 0
         assert monitor.baseline(micro_world.zone) == 0  # idempotent
 
+    def test_reuses_the_pipeline_detector(self, trained_pipeline):
+        monitor = BrandMonitor(trained_pipeline, brands=["facebook"])
+        assert monitor.detector is trained_pipeline.detector
+
     def test_unknown_brand_rejected(self, trained_pipeline):
         with pytest.raises(ValueError):
             BrandMonitor(trained_pipeline, brands=["notabrand"])

@@ -402,6 +402,20 @@ def test_serve_load_knobs_never_change_verdicts(detector, zone, tmp_path):
         assert stats.dropped == 0
 
 
+def test_serve_load_kernel_ledger_is_worker_invariant(detector, zone):
+    requests = _requests(detector, zone)
+    fallbacks = []
+    for workers in (1, 2):
+        _verdicts, stats = serve_load(detector, zone, requests,
+                                      workers=workers, max_batch=16,
+                                      max_delay=0.002, negcache=False)
+        ledger = stats.as_dict()
+        # no negative cache: every query reaches the kernel exactly once
+        assert ledger["kernel_rows"] == stats.queries == len(requests)
+        fallbacks.append(ledger["fallbacks"])
+    assert fallbacks[0] and fallbacks[0] == fallbacks[1]
+
+
 def test_serve_load_scorer_requires_serial(detector, zone):
     with pytest.raises(ValueError, match="workers=1"):
         serve_load(detector, zone, [(0.0, "a.com")], workers=2,
