@@ -12,6 +12,7 @@ import pytest
 from repro.brands import build_paper_catalog
 from repro.core import PipelineConfig, SquatPhi
 from repro.phishworld.world import WorldConfig, build_world
+from repro.squatting import packedscan
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,27 @@ def pipeline_result(pipeline):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture()
+def small_slices(monkeypatch):
+    """Shrink kernel slices so a small test zone splits across a real pool.
+
+    ``small_slices(rows)`` sets the slice size and returns a list that
+    gets the slice count of every pooled kernel run appended to it, so a
+    test can assert the pool started with more than one slice.
+    """
+    pooled = []
+    process_map = packedscan.process_map
+
+    def counting_map(fn, items, *args, **kwargs):
+        items = list(items)
+        pooled.append(len(items))
+        return process_map(fn, items, *args, **kwargs)
+
+    monkeypatch.setattr(packedscan, "process_map", counting_map)
+
+    def shrink(rows):
+        monkeypatch.setattr(packedscan, "PACKED_CHUNK", rows)
+        return pooled
+    return shrink
