@@ -51,9 +51,6 @@ class PipelineConfig:
     serve_workers: int = 1
     serve_max_batch: int = 64
     serve_max_delay: float = 0.005
-    # when set, packed pipeline runs publish the enriched snapshot into
-    # this directory as the next serving generation (see repro.serve)
-    publish_dir: Optional[str] = None
     capture_cache: bool = True
 
     # failure model & resilience (§3.2's crawl-stability fight): the fault

@@ -26,7 +26,7 @@ from repro.ml import (
     RandomForest,
     cross_validate,
 )
-from repro.dns.packedzone import PackedZone, attach_enrichment
+from repro.dns.packedzone import PackedZone
 from repro.enrich import EnrichResolver, EnrichmentTable, default_backends
 from repro.ocr.engine import OCREngine
 from repro.phishworld.marketplace import classify_redirect
@@ -206,11 +206,6 @@ class PipelineResult:
     # execution metadata (never part of determinism comparisons)
     run_id: str = field(default="", compare=False)
     perf: Optional[PerfReport] = field(default=None, compare=False)
-    # serving generation published by this run, when config.publish_dir
-    # is set on a packed world: {"generation": int, "path": str}.
-    # Generation numbers depend on the publish directory's history, so
-    # this is execution metadata too.
-    published: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
     def verified_domains(self) -> List[str]:
         return sorted({v.domain for v in self.verified})
@@ -256,8 +251,6 @@ class PipelineResult:
         }
         if self.enrichment is not None:
             data["enrichment_digest"] = self.enrichment.digest()
-        if self.published is not None:
-            data["published"] = dict(self.published)
         if self.perf is not None:
             data["perf"] = self.perf.to_dict()
         return data
@@ -273,11 +266,6 @@ class SquatPhi:
     ) -> None:
         self.world = world
         self.config = config or PipelineConfig()
-        if self.config.publish_dir and not isinstance(world.zone, PackedZone):
-            raise ValueError(
-                "PipelineConfig.publish_dir needs a world built with "
-                "packed_zone=True: a dict-backed zone has no snapshot "
-                "file to publish")
         self.detector = SquattingDetector(world.catalog)
         # failure model: one simulated clock + injector shared by every
         # stage, so fault weather is consistent (and reproducible) across
@@ -950,8 +938,7 @@ class SquatPhi:
         Runs the event-loop resolver on its own private simulated clock —
         fault weather, hedging, and concurrency change only the resolver's
         internal accounting, never the table, so the artifact digest is
-        identical to a serial no-fault pass.  Packed worlds additionally
-        get the snapshot re-emitted with the enrichment columns attached.
+        identical to a serial no-fault pass.
         """
         domains = [m.domain for m in inputs["squat_matches"]]
         resolver = EnrichResolver(
@@ -969,25 +956,7 @@ class SquatPhi:
             hedges_fired=stats.hedges_fired,
             negcache_hits=stats.negcache_hits,
             negcache_misses=max(stats.tasks - stats.negcache_hits, 0))
-        outputs: Dict[str, Any] = {"enrichment": table}
-        if isinstance(self.world.zone, PackedZone):
-            outputs["enriched_zone"] = attach_enrichment(self.world.zone, table)
-        return outputs
-
-    def _stage_publish(self, inputs: Dict[str, Any], ctx: StageContext) -> Dict[str, Any]:
-        """Publish the enriched snapshot as the next serving generation.
-
-        The serving layer (repro.serve) hot-reloads whatever generation
-        the publish directory's CURRENT pointer names; this stage is how
-        a pipeline run hands its freshly-enriched snapshot to a running
-        query server.  The payload records where it landed — generation
-        numbers continue the directory's history, so the artifact digest
-        is fingerprint-derived, not content-derived.
-        """
-        from repro.serve.publisher import SnapshotPublisher  # lazy import
-        publisher = SnapshotPublisher(self.config.publish_dir)
-        generation, path = publisher.publish(inputs["enriched_zone"])
-        return {"published": {"generation": generation, "path": str(path)}}
+        return {"enrichment": table}
 
     def _stage_crawl(self, inputs: Dict[str, Any], ctx: StageContext) -> Dict[str, Any]:
         domains = [m.domain for m in inputs["squat_matches"]]
@@ -1097,14 +1066,11 @@ class SquatPhi:
                   digesters={"squat_matches": digest_squat_matches}),
             Stage(name="enrich", compute=self._stage_enrich,
                   inputs=("squat_matches",),
-                  outputs=("enrichment", "enriched_zone") if packed
-                  else ("enrichment",),
+                  outputs=("enrichment",),
                   # no config slice: faults, concurrency, and hedging are
                   # all invisible in the table (determinism contract), so
                   # only the squat-match digest can invalidate this stage
-                  digesters={"enrichment": digest_enrichment,
-                             "enriched_zone": digest_packed_zone}
-                  if packed else {"enrichment": digest_enrichment}),
+                  digesters={"enrichment": digest_enrichment}),
             Stage(name="crawl", compute=self._stage_crawl,
                   inputs=("squat_matches",), outputs=("crawl0",),
                   config_fields=self._RESILIENCE_FIELDS,
@@ -1134,11 +1100,6 @@ class SquatPhi:
                                  "verification_seed"),
                   digesters={"verified": digest_verified}),
         ]
-        if self.config.publish_dir:
-            stages.append(Stage(
-                name="publish", compute=self._stage_publish,
-                inputs=("enriched_zone",), outputs=("published",),
-                config_fields=("publish_dir",)))
         if follow_up_snapshots:
             stages.append(Stage(
                 name="follow_ups", compute=self._stage_follow_ups,
@@ -1226,7 +1187,6 @@ class SquatPhi:
             evasion_squatting=payloads["evasion_squatting"],
             evasion_reported=payloads["evasion_reported"],
             enrichment=payloads.get("enrichment"),
-            published=payloads.get("published"),
             health=self.health,
             injected_faults=(self.fault_injector.counts()
                              if self.fault_injector else {}),

@@ -8,9 +8,8 @@ is flattened into parallel node arrays and a whole matrix descends level
 by level.
 
 Both hot paths keep a *reference* twin (``legacy=True``) — the original
-per-feature / per-row implementations — used by the equivalence tests and
-``benchmarks/bench_training.py`` to prove the vectorized paths return
-byte-identical outputs while measuring their speedup.
+per-feature / per-row implementations — used by the equivalence tests to
+prove the vectorized paths return byte-identical outputs.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ SHA-256 content digest.  Digests serve two masters:
   changed (not when it was merely recomputed to the same bytes);
 * **determinism auditing** — a resumed or incrementally re-run pipeline
   must reproduce the digests of a fresh serial run byte for byte, which
-  the incremental test-suite and ``bench_incremental.py`` assert.
+  the incremental test-suite and the bench ledger's incremental layer
+  assert.
 
 Digesters are canonical, not ``pickle``-based: pickling sets and dicts can
 reorder across processes (``PYTHONHASHSEED``), so each payload type hashes

@@ -23,7 +23,7 @@ that actually ran.
 
 ``from_stage`` forces a stage and its whole downstream closure to
 re-execute (the CLI's ``--from-stage``); ``stop_after`` ends the walk
-early after a named stage, which is how tests and the CI resume-smoke job
+early after a named stage, which is how tests and the CI cli-smoke job
 simulate a killed process at stage granularity (mid-*crawl* kills are
 covered by the store's partial checkpoints instead).
 """

@@ -18,13 +18,6 @@ class TestDefaults:
         assert embedding.use_ocr and embedding.use_lexical and embedding.use_forms
 
 
-class TestPublishDir:
-    def test_rejected_on_dict_backed_world(self, micro_world, tmp_path):
-        # only packed worlds have a snapshot file to publish
-        with pytest.raises(ValueError, match="publish_dir.*packed_zone"):
-            SquatPhi(micro_world, PipelineConfig(publish_dir=str(tmp_path)))
-
-
 class TestModelSelection:
     @pytest.mark.parametrize("name,type_name", [
         ("random_forest", "RandomForest"),
