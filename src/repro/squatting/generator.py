@@ -55,20 +55,36 @@ class SquattingGenerator:
         self.combo = combo or ComboModel()
         self.wrongtld = wrongtld or WrongTLDModel()
 
-    def candidates(self, brand: Brand, include_combo: bool = False) -> CandidateSet:
-        """Generate the candidate set for one brand.
+    def enumerable(self, brand: Brand) -> CandidateSet:
+        """The bare-label candidates a detector can list and join on.
 
-        Combo squats are unbounded; they are only included (from the common
-        affix list) when ``include_combo`` is set, e.g. for world building.
+        ASCII homographs, bits and typos, disjoint in priority order.  IDN
+        homographs are left out: they are too many to list, so the
+        detector decides them by decoding the observed A-label instead.
         """
         label = brand.core_label
         out = CandidateSet(brand=brand.name)
-        out.labels[SquatType.HOMOGRAPH] = self.homograph.generate(label)
+        out.labels[SquatType.HOMOGRAPH] = self.homograph.generate_ascii(label)
         out.labels[SquatType.TYPO] = self.typo.generate(label)
         out.labels[SquatType.BITS] = self.bits.generate(label)
+        self._make_disjoint(out, label)
+        return out
+
+    def candidates(self, brand: Brand, include_combo: bool = False) -> CandidateSet:
+        """Generate the candidate set for one brand.
+
+        The :meth:`enumerable` set plus the IDN homographs and the wrongTLD
+        domains.  Combo squats are unbounded; they are only included (from
+        the common affix list) when ``include_combo`` is set, e.g. for
+        world building.
+        """
+        label = brand.core_label
+        out = self.enumerable(brand)
+        out.labels[SquatType.HOMOGRAPH] |= self.homograph.generate_idn(label)
         if include_combo:
             out.labels[SquatType.COMBO] = self.combo.generate(label)
         out.domains[SquatType.WRONG_TLD] = self.wrongtld.generate(brand.domain)
+        # the new pools join in priority order: homograph claims first
         self._make_disjoint(out, label)
         return out
 
