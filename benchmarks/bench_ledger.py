@@ -571,7 +571,7 @@ def synth_registries(n_domains, seed=1803):
             alphabet[i] for i in rng.integers(0, len(alphabet), length)))
     domains = sorted(
         f"{label}.{ENRICH_TLDS[int(rng.integers(0, len(ENRICH_TLDS)))]}"
-        for label in labels)
+        for label in sorted(labels))
 
     zone = ZoneStore()
     whois = WhoisRegistry(rng)

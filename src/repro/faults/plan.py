@@ -2,14 +2,13 @@
 
 The paper's crawl fights real infrastructure failure — Selenium was
 rejected as "error-prone when crawling webpages at the million-level"
-(§3.2) — so the synthetic world needs typed failures too, not just the
-flat transient rate the crawler started with.  A :class:`FaultPlan` fixes
-per-kind rates and a seed; a :class:`FaultInjector` turns the plan into
-hash-addressed draws: whether fault ``kind`` fires for key ``(domain,
-profile, snapshot, attempt)`` is a pure function of plan + key, exactly
-like the crawler's original ``_attempt_fails`` draw.  Two runs with the
-same plan see byte-identical weather, and a resumed crawl re-derives the
-same outcomes for the jobs it replays.
+(§3.2) — so the synthetic world needs typed failures too.  A
+:class:`FaultPlan` fixes per-kind rates and a seed; a
+:class:`FaultInjector` turns the plan into hash-addressed draws: whether
+fault ``kind`` fires for key ``(domain, profile, snapshot, attempt)`` is a
+pure function of plan + key.  Two runs with the same plan see
+byte-identical weather, and a resumed crawl re-derives the same outcomes
+for the jobs it replays.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.perf.report import Counters
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -110,13 +112,15 @@ class DeadLetter:
 
 
 @dataclass
-class CrawlHealth:
+class CrawlHealth(Counters):
     """Structured account of how rough a crawl (or whole run) was.
 
     ``failures`` tallies failed visit attempts by fault kind;
     ``degraded`` tallies pipeline stages that skipped work because of a
     fault (stage name → skip count).  Instances merge, so the pipeline
-    can aggregate per-snapshot health into one run-level report.
+    can aggregate per-snapshot health into one run-level report; the
+    stage runner replays each cached stage's :meth:`state_dict` delta,
+    which (unlike :meth:`to_dict`) includes ``resumes``.
     """
 
     attempts: int = 0
@@ -141,61 +145,6 @@ class CrawlHealth:
     def degraded_stages(self) -> int:
         """Number of distinct pipeline stages that had to skip work."""
         return len(self.degraded)
-
-    def merge(self, other: "CrawlHealth") -> None:
-        self.attempts += other.attempts
-        self.successes += other.successes
-        self.retries += other.retries
-        self.backoff_seconds += other.backoff_seconds
-        self.breaker_trips += other.breaker_trips
-        self.breaker_skips += other.breaker_skips
-        self.dead_letters += other.dead_letters
-        self.slow_responses += other.slow_responses
-        self.resumes += other.resumes
-        self.failures.update(other.failures)
-        self.degraded.update(other.degraded)
-
-    def state_dict(self) -> Dict[str, object]:
-        """Full-precision numeric state, including ``resumes``.
-
-        Unlike :meth:`to_dict` (the digest-facing view), this is the
-        stage runner's accounting view: it must capture *every* counter
-        so a stage loaded from the artifact store can replay exactly the
-        health delta the executed stage produced.
-        """
-        return {
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "retries": self.retries,
-            "backoff_seconds": self.backoff_seconds,
-            "breaker_trips": self.breaker_trips,
-            "breaker_skips": self.breaker_skips,
-            "dead_letters": self.dead_letters,
-            "slow_responses": self.slow_responses,
-            "resumes": self.resumes,
-            "failures": dict(self.failures),
-            "degraded": dict(self.degraded),
-        }
-
-    def apply_delta(self, delta: Dict[str, object]) -> None:
-        """Add a :meth:`state_dict`-style delta onto this health report.
-
-        The stage runner records each executed stage's health delta in
-        the run manifest; when a later run loads that stage from cache,
-        replaying the delta keeps run-level health identical to a run
-        that executed every stage.
-        """
-        self.attempts += int(delta.get("attempts", 0))
-        self.successes += int(delta.get("successes", 0))
-        self.retries += int(delta.get("retries", 0))
-        self.backoff_seconds += float(delta.get("backoff_seconds", 0.0))
-        self.breaker_trips += int(delta.get("breaker_trips", 0))
-        self.breaker_skips += int(delta.get("breaker_skips", 0))
-        self.dead_letters += int(delta.get("dead_letters", 0))
-        self.slow_responses += int(delta.get("slow_responses", 0))
-        self.resumes += int(delta.get("resumes", 0))
-        self.failures.update(delta.get("failures", {}) or {})
-        self.degraded.update(delta.get("degraded", {}) or {})
 
     def to_dict(self) -> Dict[str, object]:
         # ``resumes`` is deliberately omitted: it records *how* a snapshot

@@ -10,12 +10,94 @@ them participate in snapshot digests or determinism checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import functools
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Mapping, Optional, Tuple, TypeVar
+
+C = TypeVar("C", bound="Counters")
+
+
+@functools.lru_cache(maxsize=None)
+def _counter_fields(cls: type) -> Tuple[Tuple[str, bool], ...]:
+    """``(name, is_mapping)`` per dataclass field of ``cls``, resolved
+    once per class.  A field is a mapping when its default factory is a
+    ``dict`` subclass (``dict`` or ``Counter``)."""
+    return tuple(
+        (f.name, isinstance(f.default_factory, type)
+         and issubclass(f.default_factory, dict))
+        for f in fields(cls))
 
 
 @dataclass
-class CacheStats:
+class Counters:
+    """Base for additive run counters.
+
+    Subclasses are dataclasses whose fields are all numbers or
+    ``dict``/``Counter`` tallies.  Every operation here is derived from
+    that field list, so adding a counter is one field declaration:
+    numbers add, mappings add per key, and deltas drop zero entries.
+    """
+
+    def merge(self, other: Optional["Counters"]) -> None:
+        """Add ``other``'s counters into this one (``None`` adds nothing)."""
+        if other is not None:
+            self.apply_delta(vars(other))
+
+    def apply_delta(self, delta: Mapping[str, Any]) -> None:
+        """Add a :meth:`state_dict`-style mapping onto these counters.
+
+        The stage runner records each executed stage's delta in the run
+        manifest; when a later run loads that stage from cache, replaying
+        the delta keeps run-level counters identical to a run that
+        executed every stage.  Absent names add nothing.
+        """
+        for name, mapping in _counter_fields(type(self)):
+            value = delta.get(name)
+            if not value:
+                continue
+            if mapping:
+                mine = getattr(self, name)
+                for key, count in value.items():
+                    if count:
+                        mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(self, name, getattr(self, name) + value)
+
+    def copy(self: C) -> C:
+        out: Dict[str, Any] = {}
+        for name, mapping in _counter_fields(type(self)):
+            value = getattr(self, name)
+            out[name] = type(value)(value) if mapping else value
+        return type(self)(**out)
+
+    def delta(self: C, before: C) -> C:
+        """These counters minus an earlier snapshot of them."""
+        out: Dict[str, Any] = {}
+        for name, mapping in _counter_fields(type(self)):
+            now, then = getattr(self, name), getattr(before, name)
+            if mapping:
+                out[name] = type(now)({
+                    key: count - then.get(key, 0)
+                    for key, count in now.items()
+                    if count != then.get(key, 0)})
+            else:
+                out[name] = now - then
+        return type(self)(**out)
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Every nonzero counter at full precision, mappings as plain
+        dicts.  Zero entries are omitted, so a delta's state dict is
+        sparse and :meth:`apply_delta` rebuilds the counters from it."""
+        out: Dict[str, Any] = {}
+        for name, mapping in _counter_fields(type(self)):
+            value = getattr(self, name)
+            if value:
+                out[name] = dict(value) if mapping else value
+        return out
+
+
+@dataclass
+class CacheStats(Counters):
     """Hit/miss/bypass counters for every :class:`CaptureCache` layer.
 
     ``*_bypasses`` counts lookups that arrived while the cache was
@@ -54,16 +136,6 @@ class CacheStats:
     def any_hits(self) -> bool:
         return (self.render_hits + self.feature_hits + self.spell_hits) > 0
 
-    def merge(self, other: "CacheStats") -> None:
-        self.render_hits += other.render_hits
-        self.render_misses += other.render_misses
-        self.render_bypasses += other.render_bypasses
-        self.feature_hits += other.feature_hits
-        self.feature_misses += other.feature_misses
-        self.feature_bypasses += other.feature_bypasses
-        self.spell_hits += other.spell_hits
-        self.spell_misses += other.spell_misses
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "render_hits": self.render_hits,
@@ -81,7 +153,7 @@ class CacheStats:
 
 
 @dataclass
-class KernelStats:
+class KernelStats(Counters):
     """Packed-scan kernel accounting (:mod:`repro.squatting.packedscan`):
     throughput metadata, never digest input.
 
@@ -112,33 +184,6 @@ class KernelStats:
     def count_fallback(self, reason: str, n: int = 1) -> None:
         if n:
             self.fallbacks[reason] = self.fallbacks.get(reason, 0) + n
-
-    def copy(self) -> "KernelStats":
-        return KernelStats(self.rows, self.survivors, self.fast_hits,
-                           self.homograph_assists, dict(self.fallbacks))
-
-    def delta(self, before: "KernelStats") -> "KernelStats":
-        """This snapshot minus an earlier one (for per-call accounting)."""
-        fallbacks = {
-            reason: count - before.fallbacks.get(reason, 0)
-            for reason, count in self.fallbacks.items()
-            if count - before.fallbacks.get(reason, 0)
-        }
-        return KernelStats(self.rows - before.rows,
-                           self.survivors - before.survivors,
-                           self.fast_hits - before.fast_hits,
-                           self.homograph_assists - before.homograph_assists,
-                           fallbacks)
-
-    def merge(self, other: Optional["KernelStats"]) -> None:
-        if other is None:
-            return
-        self.rows += other.rows
-        self.survivors += other.survivors
-        self.fast_hits += other.fast_hits
-        self.homograph_assists += other.homograph_assists
-        for reason, count in other.fallbacks.items():
-            self.count_fallback(reason, count)
 
     def as_dict(self) -> Dict[str, object]:
         return {

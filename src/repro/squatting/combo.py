@@ -41,7 +41,11 @@ class ComboModel:
         # would flood the detector with false combos; the paper handles this
         # by matching the hyphen-delimited brand token.  We require either a
         # hyphen-delimited exact token, or (for longer brands) substring
-        # containment.
+        # containment.  The packed-scan kernel packs min_brand_length
+        # bytes into one u64 window code, so it must lie in 1..8.
+        if not 1 <= min_brand_length <= 8:
+            raise ValueError(
+                f"min_brand_length must be in 1..8, got {min_brand_length}")
         self.min_brand_length = min_brand_length
 
     # ------------------------------------------------------------------

@@ -294,16 +294,12 @@ class DetectorMatrices:
             self.readable[ord(variant), ord(base)] = True
 
         # combo window keys: every combo-index prefix packed big-endian
-        # into a u64 (W <= 8 always holds for the default combo model; a
-        # wider W just disables this reject term, which is conservative)
+        # into a u64 (ComboModel keeps W in 1..8)
         self.combo_w = detector.generator.combo.min_brand_length
-        self.combo_keys: Optional[np.ndarray] = None
-        if 1 <= self.combo_w <= 8:
-            codes = sorted(
-                int.from_bytes(prefix.encode("utf-8"), "big")
-                for prefix in detector._combo_prefix_index
-                if len(prefix.encode("utf-8")) == self.combo_w)
-            self.combo_keys = np.array(codes, dtype=np.uint64)
+        self.combo_keys = np.array(sorted(
+            int.from_bytes(prefix.encode("utf-8"), "big")
+            for prefix in detector._combo_prefix_index
+            if len(prefix.encode("utf-8")) == self.combo_w), dtype=np.uint64)
 
         # combo matcher entries: (label bytes, length, brand name,
         # token-eligible, substring-eligible).  A hyphenated brand label
@@ -328,23 +324,18 @@ class DetectorMatrices:
         # window) hits, instead of building dense occurrence masks for
         # every catalog entry.  Entries shorter than combo_w can only be
         # hyphen-delimited tokens and keep the dense path (they are few).
-        self.combo_entry_codes: Optional[np.ndarray] = None
-        self.combo_code_groups: List[List[int]] = []
         self.combo_short_ids: List[int] = []
-        if 1 <= self.combo_w <= 8:
-            groups: Dict[int, List[int]] = {}
-            for idx, (enc, length, _b, _t, sub_ok) in enumerate(
-                    self.combo_entries):
-                if sub_ok:
-                    code = int.from_bytes(
-                        enc[:self.combo_w].tobytes(), "big")
-                    groups.setdefault(code, []).append(idx)
-                else:
-                    self.combo_short_ids.append(idx)
-            self.combo_entry_codes = np.array(sorted(groups),
-                                              dtype=np.uint64)
-            self.combo_code_groups = [
-                groups[int(code)] for code in self.combo_entry_codes]
+        groups: Dict[int, List[int]] = {}
+        for idx, (enc, length, _b, _t, sub_ok) in enumerate(
+                self.combo_entries):
+            if sub_ok:
+                code = int.from_bytes(enc[:self.combo_w].tobytes(), "big")
+                groups.setdefault(code, []).append(idx)
+            else:
+                self.combo_short_ids.append(idx)
+        self.combo_entry_codes = np.array(sorted(groups), dtype=np.uint64)
+        self.combo_code_groups: List[List[int]] = [
+            groups[int(code)] for code in self.combo_entry_codes]
 
 
 # detector -> {width: matrices}; weakly keyed, so the builds die with
@@ -492,9 +483,6 @@ class PackedScanContext:
         """Mask of labels with any ``combo_w``-byte window in the combo
         prefix index.  Padding windows hold NUL bytes and real prefixes
         never do, so out-of-length windows can't false-positive."""
-        if self.combo_keys is None:
-            # reject term unavailable: conservatively keep everything
-            return np.ones(rows, dtype=bool)
         if self.combo_keys.size == 0 or self.width - self.combo_w + 1 <= 0:
             return np.zeros(rows, dtype=bool)
         codes = pack_window_codes(padded, self.combo_w)
@@ -675,8 +663,7 @@ class PackedScanContext:
         Long entries (len >= combo_w) are found by joining each row's
         packed ``combo_w``-byte windows against the sorted entry-prefix
         codes; full occurrences and boundaries are verified only at the
-        sparse (row, window) hit pairs.  Short token-only entries — and
-        every entry when the u64 prefix index is unavailable — take the
+        sparse (row, window) hit pairs.  Short token-only entries take the
         dense per-entry occurrence masks.
         """
         mat = self.matrices
@@ -695,16 +682,12 @@ class PackedScanContext:
         best_sub_pos = np.full(m, big, dtype=np.int64)
         best_sub = np.full(m, -1, dtype=np.int64)
         width = self.width
-        if mat.combo_entry_codes is not None:
-            self._combo_join(sub, m, hy, any_hy, best_tok_pos, best_tok,
-                             best_sub_len, best_sub_pos, best_sub)
-            dense_ids = mat.combo_short_ids
-        else:
-            dense_ids = range(len(mat.combo_entries))
-        if dense_ids:
+        self._combo_join(sub, m, hy, any_hy, best_tok_pos, best_tok,
+                         best_sub_len, best_sub_pos, best_sub)
+        if mat.combo_short_ids:
             ext = np.concatenate([sub, np.zeros((m, 1), dtype=np.uint8)],
                                  axis=1)
-            for e_idx in dense_ids:
+            for e_idx in mat.combo_short_ids:
                 enc, length, _name, token_ok, sub_ok = \
                     mat.combo_entries[e_idx]
                 nwin = width - length + 1

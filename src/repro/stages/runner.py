@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
@@ -131,23 +132,18 @@ class _Accounting:
     # -- capture -------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         return {
-            "health": self.health.state_dict() if self.health else None,
-            "injected": dict(self.injected) if self.injected is not None else None,
+            "health": self.health.copy() if self.health is not None else None,
+            "injected": Counter(self.injected) if self.injected is not None else None,
             "clock": self.clock.now() if self.clock else None,
         }
 
     def delta_since(self, before: Dict[str, Any]) -> Dict[str, Any]:
         out: Dict[str, Any] = {"health": {}, "injected": {}, "clock": 0.0}
         if self.health is not None:
-            after = self.health.state_dict()
-            out["health"] = _dict_delta(before["health"], after)
+            out["health"] = self.health.delta(before["health"]).state_dict()
         if self.injected is not None:
-            after_injected = dict(self.injected)
-            out["injected"] = {
-                kind: after_injected[kind] - before["injected"].get(kind, 0)
-                for kind in after_injected
-                if after_injected[kind] != before["injected"].get(kind, 0)
-            }
+            # tallies only grow, so Counter subtraction keeps every change
+            out["injected"] = dict(self.injected - before["injected"])
         if self.clock is not None:
             out["clock"] = self.clock.now() - before["clock"]
         return out
@@ -161,23 +157,6 @@ class _Accounting:
             self.injected.update(injected_delta)
         if self.clock is not None and clock_delta > 0:
             self.clock.advance_to(self.clock.now() + clock_delta)
-
-
-def _dict_delta(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]:
-    """Numeric delta of two (possibly one-level-nested) stat dicts."""
-    delta: Dict[str, Any] = {}
-    for key, value in after.items():
-        prior = before.get(key)
-        if isinstance(value, dict):
-            sub = {k: v - (prior or {}).get(k, 0)
-                   for k, v in value.items() if v != (prior or {}).get(k, 0)}
-            if sub:
-                delta[key] = sub
-        else:
-            diff = value - (prior or 0)
-            if diff:
-                delta[key] = diff
-    return delta
 
 
 class StageRunner:

@@ -12,9 +12,8 @@ concurrency" below.
 Infrastructure instability is modelled too: the paper rejected Selenium for
 being "error-prone when crawling webpages at the million-level" — so visits
 can die for typed reasons (DNS SERVFAIL/timeout, connection reset, HTTP
-5xx, browser crash; see :mod:`repro.faults`), on top of the legacy flat
-``transient_failure_rate``.  The crawler answers with a real resilience
-stack:
+5xx, browser crash; see :mod:`repro.faults`).  The crawler answers with
+a real resilience stack:
 
 * **retries with exponential backoff** — deterministic jitter, slept on a
   simulated clock (:class:`~repro.faults.clock.SimClock`), so the timeline
@@ -53,12 +52,10 @@ execution metadata and is deliberately excluded from digests.
 from __future__ import annotations
 
 import hashlib
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.faults.clock import SimClock
-from repro.faults.errors import BrowserCrashFault
 from repro.faults.guard import GuardedCall
 from repro.faults.plan import FaultInjector, FaultKind
 from repro.faults.resilience import (
@@ -71,9 +68,6 @@ from repro.perf.engine import thread_map
 from repro.web.browser import Browser, PageCapture
 from repro.web.http import CRAWL_PROFILES, MOBILE_UA, WEB_UA, UserAgent
 from repro.web.server import WebHost
-
-#: fault-kind label for the legacy flat transient-failure draw
-TRANSIENT = "transient"
 
 
 @dataclass
@@ -251,7 +245,6 @@ class DistributedCrawler:
         host: WebHost,
         workers: int = 20,
         profiles: Sequence[UserAgent] = CRAWL_PROFILES,
-        transient_failure_rate: float = 0.0,
         max_retries: int = 2,
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -262,9 +255,6 @@ class DistributedCrawler:
     ) -> None:
         """
         Args:
-            transient_failure_rate: probability a single visit attempt dies
-                for infrastructure reasons (browser crash, timeout); drawn
-                deterministically per (domain, profile, snapshot, attempt).
             max_retries: extra attempts after a failed visit.
             fault_injector: typed fault source (DNS/HTTP/browser faults)
                 threaded through the resolver, web host, and browsers.
@@ -285,12 +275,9 @@ class DistributedCrawler:
             raise ValueError("need at least one worker")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not 0.0 <= transient_failure_rate < 1.0:
-            raise ValueError("transient_failure_rate must be in [0, 1)")
         self.host = host
         self.workers = workers
         self.profiles = tuple(profiles)
-        self.transient_failure_rate = transient_failure_rate
         self.max_retries = max_retries
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy or RetryPolicy(max_retries=max_retries)
@@ -304,22 +291,11 @@ class DistributedCrawler:
         else:
             self.clock = SimClock()
 
-    def _attempt_fails(self, domain: str, profile: str,
-                       snapshot: int, attempt: int) -> bool:
-        """Deterministic transient-failure draw for one visit attempt."""
-        if self.transient_failure_rate == 0.0:
-            return False
-        token = f"{domain}|{profile}|{snapshot}|{attempt}".encode()
-        draw = (zlib.crc32(token) % 10_000) / 10_000.0
-        return draw < self.transient_failure_rate
-
     def _visit_once(self, browser: Browser, injector: Optional[FaultInjector],
-                    domain: str, profile: UserAgent,
-                    snapshot: int, attempt: int) -> Optional[PageCapture]:
+                    domain: str, snapshot: int,
+                    attempt: int) -> Optional[PageCapture]:
         """One visit attempt; raises a typed fault or returns the capture
         (None for a cleanly dead site)."""
-        if self._attempt_fails(domain, profile.name, snapshot, attempt):
-            raise BrowserCrashFault(TRANSIENT, domain)
         if injector is not None:
             # resolver step: the crawler looks the domain up before fetching
             injector.check_dns(domain, snapshot, attempt)
@@ -348,7 +324,7 @@ class DistributedCrawler:
         outcome = guard.run(
             f"{domain}|{profile.name}|{snapshot}",
             lambda attempt: self._visit_once(browser, injector, domain,
-                                             profile, snapshot, attempt),
+                                             snapshot, attempt),
             breaker, health)
         if outcome.ok:
             return outcome.value, outcome.retries, None
@@ -565,7 +541,6 @@ class DistributedCrawler:
         resume: Optional[CrawlCheckpoint] = None,
         interval: Optional[int] = None,
         on_checkpoint=None,
-        max_slices: Optional[int] = None,
     ) -> CrawlSnapshot:
         """Crawl in ``interval``-job slices, reporting each checkpoint.
 
@@ -584,25 +559,18 @@ class DistributedCrawler:
                 runs the whole pass in one slice (no checkpoints fire).
             on_checkpoint: callback receiving each intermediate
                 checkpoint; ignored when the pass finishes in one slice.
-            max_slices: stop after this many slices even if jobs remain,
-                returning the partial snapshot (tests use this to model a
-                worker whose time budget expires mid-pass).
         """
         domain_list = list(domains)
         checkpoint = resume
-        slices = 0
         while True:
             budget = interval if interval is not None and interval > 0 else None
             result = self.crawl(domain_list, snapshot=snapshot,
                                 resume=checkpoint, max_jobs=budget)
-            slices += 1
             if result.complete:
                 return result
             checkpoint = result.checkpoint
             if on_checkpoint is not None:
                 on_checkpoint(checkpoint)
-            if max_slices is not None and slices >= max_slices:
-                return result
 
     def crawl_series(
         self, domains: Sequence[str], snapshots: int = 4

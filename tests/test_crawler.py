@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.web.crawler import CrawlSnapshot, DistributedCrawler, _SharedCounter
 from repro.web.html import document, el
 from repro.web.http import MOBILE_UA, WEB_UA
@@ -98,6 +99,12 @@ def test_shared_counter_is_sequential():
     assert [counter.next() for _ in range(4)] == [0, 1, 2, 3]
 
 
+def crashing_crawler(host, rate, seed=0, **kwargs):
+    injector = FaultInjector(FaultPlan(browser_crash_rate=rate, seed=seed))
+    return DistributedCrawler(host, workers=2, fault_injector=injector,
+                              **kwargs)
+
+
 class TestTransientFailures:
     def test_zero_rate_never_retries(self, host):
         crawler = DistributedCrawler(host, workers=2)
@@ -105,8 +112,7 @@ class TestTransientFailures:
         assert snapshot.retries == 0
 
     def test_retries_recover_most_visits(self, host):
-        flaky = DistributedCrawler(host, workers=2,
-                                   transient_failure_rate=0.2, max_retries=3)
+        flaky = crashing_crawler(host, 0.2, seed=1, max_retries=3)
         snapshot = flaky.crawl(all_domains(host))
         assert snapshot.retries > 0
         # with 3 retries at 20% failure, loss probability is 0.2^4 = 0.16%
@@ -114,19 +120,16 @@ class TestTransientFailures:
         assert stats["live"] == 7
 
     def test_no_retries_loses_some_visits(self, host):
-        fragile = DistributedCrawler(host, workers=2,
-                                     transient_failure_rate=0.5, max_retries=0)
+        fragile = crashing_crawler(host, 0.5, seed=1, max_retries=0)
         snapshot = fragile.crawl(all_domains(host))
         assert snapshot.stats("web")["live"] < 7
 
     def test_failures_are_deterministic(self, host):
-        a = DistributedCrawler(host, workers=2, transient_failure_rate=0.3)
-        b = DistributedCrawler(host, workers=2, transient_failure_rate=0.3)
+        a = crashing_crawler(host, 0.3, seed=1)
+        b = crashing_crawler(host, 0.3, seed=1)
         snap_a = a.crawl(all_domains(host))
         snap_b = b.crawl(all_domains(host))
+        assert snap_a.retries > 0
         assert snap_a.retries == snap_b.retries
         assert snap_a.live_domains("web") == snap_b.live_domains("web")
-
-    def test_rate_validation(self, host):
-        with pytest.raises(ValueError):
-            DistributedCrawler(host, transient_failure_rate=1.5)
+        assert snap_a.digest() == snap_b.digest()

@@ -149,11 +149,6 @@ class TestDeterminism:
         snap_b = faulty_crawler(host, 0.25, seed=10).crawl(all_domains(host))
         assert snap_a.digest() != snap_b.digest()
 
-    def test_legacy_transient_rate_still_deterministic(self, host):
-        a = DistributedCrawler(host, workers=2, transient_failure_rate=0.3)
-        b = DistributedCrawler(host, workers=2, transient_failure_rate=0.3)
-        assert a.crawl(all_domains(host)).digest() == b.crawl(all_domains(host)).digest()
-
 
 class TestCheckpointResume:
     def test_partial_crawl_carries_checkpoint(self, host):

@@ -1,14 +1,17 @@
 """Property tests for the resilience primitives.
 
-Satellites of the enrichment PR: the retry ladder must be deterministic
-*across processes* (checkpoint/resume replays delays computed by an
-earlier process), its envelope must be monotone, and health merging must
-be order-independent (the pipeline folds per-snapshot health in whatever
-order stages complete).
+The retry ladder must be deterministic *across processes*
+(checkpoint/resume replays delays computed by an earlier process) and its
+envelope must be monotone.  Every :class:`~repro.perf.report.Counters`
+subclass must merge order-independently (the pipeline folds per-snapshot
+health in whatever order stages complete) and round-trip through
+``delta`` and ``state_dict``/``apply_delta`` (resume replay).
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -16,6 +19,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.resilience import CrawlHealth, RetryPolicy
+from repro.perf.report import CacheStats, Counters, KernelStats
 
 
 # ----------------------------------------------------------------------
@@ -83,8 +87,10 @@ def test_ladder_cap_rung_bounds_every_later_delay():
 
 
 # ----------------------------------------------------------------------
-# CrawlHealth.merge: order independence
+# Counters: merge order independence, delta and resume-replay round trips
 # ----------------------------------------------------------------------
+
+COUNTERS = (CrawlHealth, KernelStats, CacheStats)
 
 # dyadic rationals keep float addition exact, so associativity is an
 # equality (not an approximation) and the property is crisp
@@ -96,54 +102,83 @@ _tallies = st.dictionaries(
     st.integers(1, 50), max_size=4)
 
 
-@st.composite
-def healths(draw):
-    health = CrawlHealth(
-        attempts=draw(_counts),
-        successes=draw(_counts),
-        retries=draw(_counts),
-        backoff_seconds=draw(_seconds),
-        breaker_trips=draw(_counts),
-        breaker_skips=draw(_counts),
-        dead_letters=draw(_counts),
-        slow_responses=draw(_counts),
-        resumes=draw(_counts),
-    )
-    health.failures.update(draw(_tallies))
-    health.degraded.update(draw(_tallies))
-    return health
+def counters(cls):
+    """Instances of one :class:`Counters` subclass, drawn per field."""
+    defaults = cls()
+    strategies = {}
+    for spec in dataclasses.fields(cls):
+        default = getattr(defaults, spec.name)
+        if isinstance(default, dict):
+            strategies[spec.name] = _tallies.map(type(default))
+        elif isinstance(default, float):
+            strategies[spec.name] = _seconds
+        else:
+            strategies[spec.name] = _counts
+    return st.builds(cls, **strategies)
 
 
-def _merged(*parts: CrawlHealth) -> dict:
-    total = CrawlHealth()
+def same_class(n):
+    """``n`` instances of one randomly chosen Counters subclass."""
+    return st.sampled_from(COUNTERS).flatmap(
+        lambda cls: st.tuples(*[counters(cls)] * n))
+
+
+def _merged(*parts: Counters) -> Counters:
+    total = type(parts[0])()
     for part in parts:
         total.merge(part)
-    return total.state_dict()
+    return total
 
 
-@given(a=healths(), b=healths())
+def test_every_counters_subclass_is_covered():
+    assert set(Counters.__subclasses__()) == set(COUNTERS)
+
+
+@given(same_class(2))
 @settings(max_examples=100, deadline=None)
-def test_merge_commutes(a, b):
+def test_merge_commutes(pair):
+    a, b = pair
     assert _merged(a, b) == _merged(b, a)
 
 
-@given(a=healths(), b=healths(), c=healths())
+@given(same_class(3))
 @settings(max_examples=100, deadline=None)
-def test_merge_associates(a, b, c):
-    ab = CrawlHealth()
-    ab.merge(a)
-    ab.merge(b)
-    bc = CrawlHealth()
-    bc.merge(b)
-    bc.merge(c)
-    assert _merged(ab, c) == _merged(a, bc)
+def test_merge_associates(triple):
+    a, b, c = triple
+    assert _merged(_merged(a, b), c) == _merged(a, _merged(b, c))
 
 
-@given(a=healths())
+@given(same_class(1))
 @settings(max_examples=50, deadline=None)
-def test_merge_identity(a):
-    assert _merged(a, CrawlHealth()) == _merged(a)
-    # state_dict -> apply_delta round-trips to the same totals
-    clone = CrawlHealth()
-    clone.apply_delta(a.state_dict())
+def test_merge_identity(single):
+    (a,) = single
+    assert _merged(a, type(a)()) == _merged(a) == a
+    merged_none = a.copy()
+    merged_none.merge(None)
+    assert merged_none == a
+
+
+@given(same_class(2))
+@settings(max_examples=100, deadline=None)
+def test_delta_round_trip(pair):
+    """Counters only grow, so ``after`` is ``before`` plus more; the
+    delta between them merged back onto ``before`` rebuilds ``after``."""
+    before, more = pair
+    pristine = copy.deepcopy(before)
+    after = _merged(before, more)
+    rebuilt = before.copy()
+    rebuilt.merge(after.delta(before))
+    assert rebuilt == after
+    assert before == pristine   # copy() shares no mapping with its source
+
+
+@given(same_class(1))
+@settings(max_examples=100, deadline=None)
+def test_state_dict_round_trip(single):
+    """The stage runner's resume replay: apply_delta(state_dict())
+    rebuilds the same counters through a JSON manifest."""
+    (a,) = single
+    clone = type(a)()
+    clone.apply_delta(json.loads(json.dumps(a.state_dict())))
+    assert clone == a
     assert clone.state_dict() == a.state_dict()

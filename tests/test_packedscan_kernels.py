@@ -33,7 +33,9 @@ from repro.squatting.bits import (
     edit1_typo_details,
     pack_window_codes,
 )
+from repro.squatting.combo import ComboModel
 from repro.squatting.detector import SquattingDetector
+from repro.squatting.generator import SquattingGenerator
 from repro.squatting.packedscan import (
     PackedScanContext,
     detector_matrices,
@@ -41,6 +43,7 @@ from repro.squatting.packedscan import (
     packed_scan_counts,
 )
 from repro.squatting.typo import TypoModel
+from repro.squatting.types import SquatType
 from repro.stages import digest_squat_matches
 
 
@@ -146,6 +149,29 @@ def test_kernel_fallback_rate_is_small_on_adversarial_corpus():
     # kernel must absorb everything else
     assert 0 < stats.fallback_total < 0.01 * stats.rows
     assert stats.fallback_rate < 0.01
+
+
+def test_widest_combo_window_matches_scalar_cascade():
+    """At the widest legal combo window (8 bytes, one u64 code) the
+    prefix-code join still reproduces the scalar cascade; a wider window
+    is rejected when the combo model is built."""
+    detector = SquattingDetector(
+        build_paper_catalog(),
+        SquattingGenerator(combo=ComboModel(min_brand_length=8)))
+    names = _adversarial_names() + [
+        "facebookloginpage.com", "secure-facebook.net", "myfacebook.org",
+        "instagramhelp.com", "paypal-verify.com", "xpaypalx.com"]
+    zone, packed = _build_pair(names)
+    reference = detector.scan(zone)
+    assert any(m.squat_type is SquatType.COMBO and m.detail == "substring"
+               for m in reference)
+    for width in (None, PackedScanContext(detector, packed).width + 3):
+        got = packed_scan(detector, packed, workers=1, width=width)
+        assert digest_squat_matches(got) == digest_squat_matches(reference)
+    with pytest.raises(ValueError, match="min_brand_length"):
+        ComboModel(min_brand_length=9)
+    with pytest.raises(ValueError, match="min_brand_length"):
+        ComboModel(min_brand_length=0)
 
 
 def test_take_last_scan_stats_consumed_on_read():
