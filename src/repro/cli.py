@@ -338,8 +338,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     detector = SquattingDetector(_build_catalog(args.brands, args.sectors))
     requests = synth_requests(args.queries, args.qps, seed=args.seed,
                               registered=list(zone.registered_domains()))
-    max_batch = 1 if args.no_batching else args.max_batch
-    max_delay = 0.0 if args.no_batching else args.max_delay
 
     publisher = None
     on_dispatch = None
@@ -352,7 +350,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         publisher = SnapshotPublisher(tmp.name)
         _generation, path = publisher.publish(zone)
         zone = PackedZone.load(path)
-        swap_at = max(1, len(plan_batches(requests, max_batch, max_delay)) // 2)
+        swap_at = max(1, len(plan_batches(
+            requests, args.max_batch, args.max_delay)) // 2)
 
         def on_dispatch(index: int, _zone=zone) -> None:
             if index == swap_at:
@@ -361,7 +360,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         verdicts, stats = serve_load(
             detector, zone, requests,
-            workers=args.workers, max_batch=max_batch, max_delay=max_delay,
+            workers=args.workers, max_batch=args.max_batch,
+            max_delay=args.max_delay,
             negcache=not args.no_negcache,
             publisher=publisher, on_dispatch=on_dispatch)
     finally:
@@ -719,8 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="micro-batch size bound")
     serve.add_argument("--max-delay", type=float, default=0.005,
                        help="micro-batch delay bound, seconds (sim clock)")
-    serve.add_argument("--no-batching", action="store_true",
-                       help="dispatch every request as its own batch")
     serve.add_argument("--no-negcache", action="store_true",
                        help="disable the TTL'd negative-verdict cache")
     serve.add_argument("--hot-swap", action="store_true",

@@ -44,13 +44,6 @@ class PipelineConfig:
     # table is byte-identical to the serial oracle at any setting.
     enrich_workers: int = 8
     enrich_hedging: bool = True
-    # serving front (repro.serve): worker pool width and micro-batching
-    # bounds for interactive verdict queries.  Same contract: verdicts
-    # are pure in (name, snapshot generation), so these change QPS and
-    # latency only.
-    serve_workers: int = 1
-    serve_max_batch: int = 64
-    serve_max_delay: float = 0.005
     capture_cache: bool = True
 
     # failure model & resilience (§3.2's crawl-stability fight): the fault

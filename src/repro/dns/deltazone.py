@@ -55,6 +55,7 @@ from repro.dns.packedzone import (
     PackedZone,
     PackedZoneBuilder,
     PackedZoneCorruptError,
+    _DECODE_ERRORS,
     _pack_file,
     _unpack_meta,
 )
@@ -130,12 +131,6 @@ class DeltaSegmentBuilder:
         return DeltaSegment(PackedZone.from_bytes(
             self.to_bytes(seq, base_digest)))
 
-    def write(self, path: PathLike, seq: int, base_digest: str) -> "DeltaSegment":
-        data = self.to_bytes(seq, base_digest)
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return DeltaSegment(PackedZone.load(path))
-
 
 class DeltaSegment:
     """One sealed delta-segment file: net adds (a PZON zone) + tombstones."""
@@ -144,15 +139,20 @@ class DeltaSegment:
         self.zone = zone
         meta = zone.delta_meta
         if meta is None:
+            zone.verify()   # a damaged segment is corrupt, not a snapshot
             raise ValueError("not a delta segment (no delta meta block)")
-        self.seq: int = int(meta["seq"])
-        self.base_digest: str = meta["base"]
-        blob = zone._sections["tomb_blob"]
-        off = zone._sections["tomb_off"]
-        self.tombstones: List[str] = [
-            blob[int(off[i]):int(off[i + 1])].tobytes().decode("utf-8")
-            for i in range(off.size - 1)
-        ]
+        try:
+            self.seq: int = int(meta["seq"])
+            self.base_digest: str = meta["base"]
+            blob = zone._sections["tomb_blob"]
+            off = zone._sections["tomb_off"]
+            self.tombstones: List[str] = [
+                blob[int(off[i]):int(off[i + 1])].tobytes().decode("utf-8")
+                for i in range(off.size - 1)
+            ]
+        except _DECODE_ERRORS as exc:
+            raise PackedZoneCorruptError(
+                f"delta segment block is malformed: {exc!r}") from exc
 
     @classmethod
     def load(cls, path: PathLike) -> "DeltaSegment":

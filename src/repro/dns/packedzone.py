@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.dns.records import DNSRecord, split_domain
 from repro.dns.zone import MISS
+from repro.durable import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dns.zone import ZoneStore
@@ -131,6 +132,11 @@ def _pack_file(meta: Dict[str, object],
         out[at:at + arr.nbytes] = arr.tobytes()
     out[16:48] = hashlib.sha256(bytes(out[_HEADER_LEN:])).digest()
     return bytes(out)
+
+
+# what decoding a damaged header can raise: all mean PackedZoneCorruptError
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError,
+                  SyntaxError, OverflowError)
 
 
 class PackedZoneBuilder:
@@ -278,13 +284,6 @@ class PackedZoneBuilder:
         }
         return _pack_file(meta, sections)
 
-    def write(self, path: PathLike) -> int:
-        """Serialize straight to ``path``; returns the record count."""
-        data = self.to_bytes()
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return len(self)
-
 
 class PackedZone:
     """An immutable, columnar DNS snapshot with ``ZoneStore``'s lookup
@@ -313,58 +312,67 @@ class PackedZone:
                 f"bytes, file holds {len(raw_meta)}")
         try:
             meta = json.loads(raw_meta)
-        except json.JSONDecodeError as exc:
+            version = meta["version"]
+        except (ValueError, KeyError, TypeError) as exc:  # incl. bad UTF-8
             raise PackedZoneCorruptError(
-                f"packed zone meta is not valid JSON: {exc}") from exc
-        if meta["version"] != VERSION:
-            raise ValueError(f"unsupported packed zone version {meta['version']}")
-        self.n_records: int = meta["records"]
-        self.n_registered: int = meta["registered"]
-        self.n_cores: int = meta["cores"]
-        # snapshot generation for serving hot-reload; files that predate
-        # the field (or were never published) read as generation 0
-        self.generation: int = int(meta.get("generation", 0))
-        self.tlds: List[str] = meta["tlds"]
-        self.sources: List[str] = meta["sources"]
-        self.record_types: List[str] = meta["record_types"]
-        self.extra_ips: Dict[int, str] = {
-            int(k): v for k, v in meta["extra_ips"].items()}
-        # enrichment intern tables (present only on enriched snapshots;
-        # old readers ignore the key, old files simply lack it)
-        self.enrichment_meta: Optional[Dict[str, List[str]]] = \
-            meta.get("enrichment")
-        # delta-segment binding (seq, base digest, tombstone count) when
-        # this file is an append-only delta rather than a base snapshot
-        # (see repro.dns.deltazone); plain snapshots read None
-        self.delta_meta: Optional[Dict[str, object]] = meta.get("delta")
-        data_start = _align(_HEADER_LEN + meta_len)
-        self._sections: Dict[str, np.ndarray] = {}
-        for name, spec in meta["sections"].items():
-            dtype = np.dtype(spec["dtype"])
-            end = data_start + int(spec["offset"]) + int(spec["count"]) * dtype.itemsize
-            if end > len(buffer):
-                # header + meta intact but the payload is short: surface a
-                # typed corruption error instead of numpy's buffer error
-                raise PackedZoneCorruptError(
-                    f"packed zone payload truncated: section {name!r} needs "
-                    f"{end} bytes, file has {len(buffer)}")
-            self._sections[name] = np.frombuffer(
-                buffer, dtype=dtype, count=spec["count"],
-                offset=data_start + int(spec["offset"]))
-        self.name_blob = self._sections["name_blob"]
-        self.name_off = self._sections["name_off"]
-        self.rec_reg = self._sections["rec_reg"]
-        self.rec_ip = self._sections["rec_ip"]
-        self.rec_type = self._sections["rec_type"]
-        self.rec_src = self._sections["rec_src"]
-        self.reg_core = self._sections["reg_core"]
-        self.reg_tld = self._sections["reg_tld"]
-        self.core_blob = self._sections["core_blob"]
-        self.core_off = self._sections["core_off"]
-        self.reg_by_core = self._sections["reg_by_core"]
-        self.core_spans = self._sections["core_spans"]
-        self.rec_by_reg = self._sections["rec_by_reg"]
-        self.reg_spans = self._sections["reg_spans"]
+                f"packed zone meta is not a valid header: {exc!r}") from exc
+        if version != VERSION:
+            raise ValueError(f"unsupported packed zone version {version}")
+        try:
+            self.n_records: int = meta["records"]
+            self.n_registered: int = meta["registered"]
+            self.n_cores: int = meta["cores"]
+            # snapshot generation for serving hot-reload; files that predate
+            # the field (or were never published) read as generation 0
+            self.generation: int = int(meta.get("generation", 0))
+            self.tlds: List[str] = meta["tlds"]
+            self.sources: List[str] = meta["sources"]
+            self.record_types: List[str] = meta["record_types"]
+            self.extra_ips: Dict[int, str] = {
+                int(k): v for k, v in meta["extra_ips"].items()}
+            # enrichment intern tables (present only on enriched snapshots;
+            # old readers ignore the key, old files simply lack it)
+            self.enrichment_meta: Optional[Dict[str, List[str]]] = \
+                meta.get("enrichment")
+            # delta-segment binding (seq, base digest, tombstone count) when
+            # this file is an append-only delta rather than a base snapshot
+            # (see repro.dns.deltazone); plain snapshots read None
+            self.delta_meta: Optional[Dict[str, object]] = meta.get("delta")
+            data_start = _align(_HEADER_LEN + meta_len)
+            self._sections: Dict[str, np.ndarray] = {}
+            for name, spec in meta["sections"].items():
+                dtype = np.dtype(spec["dtype"])
+                end = data_start + int(spec["offset"]) + int(spec["count"]) * dtype.itemsize
+                if end > len(buffer):
+                    # header + meta intact but the payload is short: surface a
+                    # typed corruption error instead of numpy's buffer error
+                    raise PackedZoneCorruptError(
+                        f"packed zone payload truncated: section {name!r} needs "
+                        f"{end} bytes, file has {len(buffer)}")
+                self._sections[name] = np.frombuffer(
+                    buffer, dtype=dtype, count=spec["count"],
+                    offset=data_start + int(spec["offset"]))
+            self.name_blob = self._sections["name_blob"]
+            self.name_off = self._sections["name_off"]
+            self.rec_reg = self._sections["rec_reg"]
+            self.rec_ip = self._sections["rec_ip"]
+            self.rec_type = self._sections["rec_type"]
+            self.rec_src = self._sections["rec_src"]
+            self.reg_core = self._sections["reg_core"]
+            self.reg_tld = self._sections["reg_tld"]
+            self.core_blob = self._sections["core_blob"]
+            self.core_off = self._sections["core_off"]
+            self.reg_by_core = self._sections["reg_by_core"]
+            self.core_spans = self._sections["core_spans"]
+            self.rec_by_reg = self._sections["rec_by_reg"]
+            self.reg_spans = self._sections["reg_spans"]
+        except PackedZoneCorruptError:
+            raise
+        except _DECODE_ERRORS as exc:
+            # a damaged header decodes into missing keys, bad dtypes or
+            # wrong types: every such failure is corruption, typed
+            raise PackedZoneCorruptError(
+                f"packed zone meta is malformed: {exc!r}") from exc
         # live-lookup fault hook, same contract as ZoneStore
         self.fault_injector: Optional["FaultInjector"] = None
         self._name_lookup: Optional[Dict[str, int]] = None
@@ -390,10 +398,8 @@ class PackedZone:
         return cls(mapped, path=path, mapped=mapped)
 
     def save(self, path: PathLike) -> int:
-        """Write the snapshot file; returns the record count."""
-        with open(path, "wb") as handle:
-            handle.write(bytes(self._buf))
-        self.path = Path(path)
+        """Write the snapshot file atomically; returns the record count."""
+        self.path = write_atomic(path, self._buf)
         return self.n_records
 
     def to_bytes(self) -> bytes:
@@ -415,16 +421,6 @@ class PackedZone:
             self._tempfile = Path(raw)
             weakref.finalize(self, _unlink_quiet, raw)
         return self._tempfile
-
-    def reopen(self) -> "PackedZone":
-        """A fresh mmap of this snapshot's backing file.
-
-        Serving workers hot-reload across generations by reopening the
-        published path; the superseded mapping stays valid for any
-        in-flight batch that still holds views into it, and is released
-        only when the last reference drops.
-        """
-        return PackedZone.load(self.ensure_file())
 
     @property
     def nbytes(self) -> int:
@@ -795,8 +791,3 @@ def is_packed_file(path: PathLike) -> bool:
     except OSError:
         return False
 
-
-def iter_names(records: Iterable[DNSRecord]) -> Iterator[Tuple[str, str, str, str]]:
-    """Adapter: DNSRecord stream → builder row stream."""
-    for record in records:
-        yield record.name, record.ip, record.record_type, record.source

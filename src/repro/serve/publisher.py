@@ -1,10 +1,11 @@
 """Atomic snapshot-generation publishing.
 
 A publish directory holds generation-stamped PZON files plus a
-``CURRENT`` pointer file; both are written via temp-file + ``os.replace``
-(and a directory fsync so the rename itself is durable), so a reader
-polling :meth:`SnapshotPublisher.current` sees either the old complete
-generation or the new complete generation, never a torn state.  Workers
+``CURRENT`` pointer file; both go through the one write path with
+fsync (``write_atomic(..., durable=True)``, whose only caller this is),
+so a reader polling :meth:`SnapshotPublisher.current` sees either the
+old complete generation or the new complete generation, never a torn
+state, even across a power loss.  Workers
 hot-reload by comparing the polled generation number against their
 engine's — the stamp inside the PZON meta (see
 :func:`~repro.dns.packedzone.stamp_generation`) makes the handle
@@ -22,11 +23,11 @@ resets the chain to a lone base (a compaction boundary).
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.dns.packedzone import PackedZone, stamp_generation
+from repro.durable import write_atomic
 
 PathLike = Union[str, Path]
 
@@ -66,7 +67,7 @@ class SnapshotPublisher:
     def publish(self, zone: PackedZone) -> Tuple[int, Path]:
         """Stamp ``zone`` as the next generation and swap it live.
 
-        The data file lands first (write to temp, fsync, rename), the
+        The data file lands first (one durable ``write_atomic``), the
         pointer swaps second — so a crash between the two leaves the old
         generation live and an orphaned-but-complete data file, never a
         pointer to a partial snapshot.  Any delta chain is reset: the new
@@ -76,10 +77,9 @@ class SnapshotPublisher:
         generation = (state[0] if state else 0) + 1
         stamped = stamp_generation(zone, generation)
         name = f"gen-{generation:06d}.pzon"
-        path = self.root / name
-        self._write_atomic(path, stamped.to_bytes())
-        self._write_atomic(self.root / _CURRENT,
-                           f"{generation}\t{name}\n".encode("utf-8"))
+        path = write_atomic(self.root / name, stamped.to_bytes(), durable=True)
+        write_atomic(self.root / _CURRENT,
+                     f"{generation}\t{name}\n".encode("utf-8"), durable=True)
         return generation, path
 
     def publish_delta(self, segment_bytes: bytes) -> Tuple[int, Path]:
@@ -99,25 +99,9 @@ class SnapshotPublisher:
         stamped = stamp_generation(
             PackedZone.from_bytes(segment_bytes), generation)
         name = f"gen-{generation:06d}.delta.pzon"
-        path = self.root / name
-        self._write_atomic(path, stamped.to_bytes())
+        path = write_atomic(self.root / name, stamped.to_bytes(), durable=True)
         names = [base_path.name] + [p.name for p in delta_paths] + [name]
         pointer = "\t".join([str(generation)] + names) + "\n"
-        self._write_atomic(self.root / _CURRENT, pointer.encode("utf-8"))
+        write_atomic(self.root / _CURRENT, pointer.encode("utf-8"),
+                     durable=True)
         return generation, path
-
-    def _write_atomic(self, path: Path, data: bytes) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        # make the rename durable: fsync the directory entry, else a
-        # crash can roll CURRENT back to a generation whose data file
-        # outlived it (or vice versa)
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)

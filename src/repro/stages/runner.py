@@ -63,7 +63,6 @@ def code_digest(fn: Any) -> str:
 THROUGHPUT_FIELDS = frozenset({
     "scan_workers", "crawl_workers", "train_workers", "extract_workers",
     "enrich_workers", "enrich_hedging",
-    "serve_workers", "serve_max_batch", "serve_max_delay",
     "capture_cache", "checkpoint_interval",
 })
 

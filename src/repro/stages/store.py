@@ -19,19 +19,23 @@ The store gives a pipeline run three kinds of durability:
 
 ``ArtifactStore(None)`` is a fully in-memory store with the same API —
 the default for library callers who just want incremental semantics
-within one process (tests, notebooks).
+within one process (tests, notebooks), holding the bytes a disk store
+would write.  On disk every file lands through
+:func:`~repro.durable.write_atomic` without fsync: a kill never leaves a
+torn file, and a durable write (~0.45 ms on the 2-core reference VM)
+would fall five times inside every on-disk stream segment for state
+that can always be recomputed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.durable import write_atomic
 from repro.stages.artifacts import Artifact
 
 PathLike = Union[str, Path]
@@ -86,100 +90,95 @@ class RunManifest:
 class ArtifactStore:
     """Content-addressed payloads + run manifests + partial stage state.
 
+    Every public method sits on five byte primitives keyed by a path
+    relative to the root (``objects/ab/<digest>.pkl``, ``runs/<id>.json``,
+    ``partials/<id>/<stage>.pkl``): a dict in memory, files on disk.
+
     Args:
         root: store directory (created on demand).  ``None`` keeps
-            everything in memory — identical semantics, no durability.
+            everything in memory — identical bytes, no durability.
     """
 
     def __init__(self, root: Optional[PathLike] = None) -> None:
         self.root = Path(root) if root is not None else None
-        self._objects: Dict[str, bytes] = {}
-        self._manifests: Dict[str, RunManifest] = {}
-        self._partials: Dict[tuple, bytes] = {}
+        self._blobs: Dict[str, bytes] = {}
 
-    @property
-    def persistent(self) -> bool:
-        return self.root is not None
+    # ------------------------------------------------------------------
+    # byte primitives
+    # ------------------------------------------------------------------
+    def _read(self, key: str) -> Optional[bytes]:
+        if self.root is None:
+            return self._blobs.get(key)
+        try:
+            return (self.root / key).read_bytes()
+        except FileNotFoundError:
+            return None
+
+    def _write(self, key: str, data: bytes) -> None:
+        if self.root is None:
+            self._blobs[key] = data
+        else:
+            write_atomic(self.root / key, data)
+
+    def _exists(self, key: str) -> bool:
+        if self.root is None:
+            return key in self._blobs
+        return (self.root / key).exists()
+
+    def _delete(self, key: str) -> None:
+        if self.root is None:
+            self._blobs.pop(key, None)
+        else:
+            (self.root / key).unlink(missing_ok=True)
+
+    def _names(self, directory: str) -> List[str]:
+        """File names directly under ``directory`` (a flat one)."""
+        if self.root is None:
+            prefix = directory + "/"
+            return [k[len(prefix):] for k in self._blobs if k.startswith(prefix)]
+        folder = self.root / directory
+        return [p.name for p in folder.iterdir()] if folder.is_dir() else []
 
     # ------------------------------------------------------------------
     # object layer
     # ------------------------------------------------------------------
-    def _object_path(self, digest: str) -> Path:
-        assert self.root is not None
-        return self.root / "objects" / digest[:2] / f"{digest}.pkl"
-
     @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        """Write via rename so a killed process never leaves a torn file."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    def _object_key(digest: str) -> str:
+        return f"objects/{digest[:2]}/{digest}.pkl"
 
     def put(self, artifact: Artifact) -> None:
         """Store an artifact payload under its digest (idempotent)."""
         if self.has(artifact.digest):
             return
         data = pickle.dumps(artifact.payload, protocol=pickle.HIGHEST_PROTOCOL)
-        if self.root is None:
-            self._objects[artifact.digest] = data
-        else:
-            self._atomic_write(self._object_path(artifact.digest), data)
+        self._write(self._object_key(artifact.digest), data)
 
     def has(self, digest: str) -> bool:
-        if self.root is None:
-            return digest in self._objects
-        return self._object_path(digest).exists()
+        return self._exists(self._object_key(digest))
 
     def get(self, digest: str) -> Any:
         """Load the payload stored under ``digest`` (KeyError if absent)."""
-        if self.root is None:
-            if digest not in self._objects:
-                raise KeyError(f"no artifact {digest!r} in store")
-            return pickle.loads(self._objects[digest])
-        path = self._object_path(digest)
-        if not path.exists():
+        data = self._read(self._object_key(digest))
+        if data is None:
             raise KeyError(f"no artifact {digest!r} in store")
-        return pickle.loads(path.read_bytes())
+        return pickle.loads(data)
 
     # ------------------------------------------------------------------
     # run manifests
     # ------------------------------------------------------------------
-    def _manifest_path(self, run_id: str) -> Path:
-        assert self.root is not None
-        return self.root / "runs" / f"{run_id}.json"
-
     def save_manifest(self, manifest: RunManifest) -> None:
-        if self.root is None:
-            self._manifests[manifest.run_id] = manifest
-            return
         payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True)
-        self._atomic_write(self._manifest_path(manifest.run_id),
-                           payload.encode("utf-8"))
+        self._write(f"runs/{manifest.run_id}.json", payload.encode("utf-8"))
 
     def load_manifest(self, run_id: str) -> RunManifest:
-        if self.root is None:
-            if run_id not in self._manifests:
-                raise KeyError(f"no run {run_id!r} in store")
-            return self._manifests[run_id]
-        path = self._manifest_path(run_id)
-        if not path.exists():
+        data = self._read(f"runs/{run_id}.json")
+        if data is None:
             raise KeyError(f"no run {run_id!r} in store")
-        return RunManifest.from_dict(json.loads(path.read_text("utf-8")))
+        return RunManifest.from_dict(json.loads(data.decode("utf-8")))
 
     def list_runs(self) -> List[str]:
-        if self.root is None:
-            return sorted(self._manifests)
-        runs_dir = self.root / "runs"
-        if not runs_dir.exists():
-            return []
-        return sorted(p.stem for p in runs_dir.glob("*.json"))
+        return sorted(name[:-len(".json")] for name in self._names("runs")
+                      if name.endswith(".json"))
 
     def next_run_id(self) -> str:
         """A fresh, collision-free ``run-NNNN`` id."""
@@ -192,29 +191,18 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # partial stage state (folded CrawlCheckpoint)
     # ------------------------------------------------------------------
-    def _partial_path(self, run_id: str, stage: str) -> Path:
-        assert self.root is not None
-        return self.root / "partials" / run_id / f"{stage}.pkl"
-
     def save_partial(self, run_id: str, stage: str,
                      fingerprint: Dict[str, str], payload: Any) -> None:
         """Persist mid-stage progress bound to the stage fingerprint."""
         data = pickle.dumps({"fingerprint": dict(fingerprint),
                              "payload": payload},
                             protocol=pickle.HIGHEST_PROTOCOL)
-        if self.root is None:
-            self._partials[(run_id, stage)] = data
-        else:
-            self._atomic_write(self._partial_path(run_id, stage), data)
+        self._write(f"partials/{run_id}/{stage}.pkl", data)
 
     def load_partial(self, run_id: str, stage: str,
                      fingerprint: Dict[str, str]) -> Optional[Any]:
         """Mid-stage progress for a matching fingerprint, else None."""
-        if self.root is None:
-            data = self._partials.get((run_id, stage))
-        else:
-            path = self._partial_path(run_id, stage)
-            data = path.read_bytes() if path.exists() else None
+        data = self._read(f"partials/{run_id}/{stage}.pkl")
         if data is None:
             return None
         entry = pickle.loads(data)
@@ -223,9 +211,4 @@ class ArtifactStore:
         return entry["payload"]
 
     def clear_partial(self, run_id: str, stage: str) -> None:
-        if self.root is None:
-            self._partials.pop((run_id, stage), None)
-            return
-        path = self._partial_path(run_id, stage)
-        if path.exists():
-            path.unlink()
+        self._delete(f"partials/{run_id}/{stage}.pkl")

@@ -50,6 +50,7 @@ from repro.dns.deltazone import (
     compact,
 )
 from repro.dns.packedzone import PackedZone, pack_zone
+from repro.durable import write_atomic
 from repro.faults.clock import SimClock
 from repro.perf.report import KernelStats
 from repro.phishworld.events import (
@@ -376,8 +377,7 @@ class StreamingDriver:
             stats.events += len(window)
             stats.segments += 1
             if self.delta_dir is not None:
-                self.delta_dir.mkdir(parents=True, exist_ok=True)
-                (self.delta_dir / f"seg-{seq:05d}.pzon").write_bytes(seg_bytes)
+                write_atomic(self.delta_dir / f"seg-{seq:05d}.pzon", seg_bytes)
             if self.publisher is not None:
                 self.publisher.publish_delta(seg_bytes)
             if seq % self.compact_every == 0:

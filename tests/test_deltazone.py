@@ -82,7 +82,8 @@ def test_segment_file_round_trip(tmp_path):
     builder.add_name("filed.com")
     builder.remove_name("alpha.com")
     path = tmp_path / "seg.pzon"
-    written = builder.write(path, seq=3, base_digest="digest")
+    written = builder.build(seq=3, base_digest="digest")
+    written.save(path)
     loaded = DeltaSegment.load(path)
     assert loaded.seq == written.seq == 3
     assert loaded.tombstones == ["alpha.com"]

@@ -17,6 +17,7 @@ from repro.phishworld.events import (
     replay_into_store,
 )
 from repro.serve import QueryEngine, SnapshotPublisher, serve_load
+from repro.serve import publisher as publisher_module
 from repro.squatting.detector import SquattingDetector
 from repro.squatting.packedscan import packed_scan
 from repro.stages import ArtifactStore, digest_squat_matches
@@ -177,17 +178,17 @@ def test_publish_crash_before_pointer_swap_keeps_old_generation(
     zone = pack_zone(replay_into_store(tape[:200]))
     generation, path = publisher.publish(zone)
 
-    real = SnapshotPublisher._write_atomic
+    real = publisher_module.write_atomic
 
-    def crash_on_pointer(self, target, data):
+    def crash_on_pointer(target, data, **kwargs):
         if target.name == "CURRENT":
             raise OSError("simulated crash between data write and swap")
-        real(self, target, data)
+        return real(target, data, **kwargs)
 
-    monkeypatch.setattr(SnapshotPublisher, "_write_atomic", crash_on_pointer)
+    monkeypatch.setattr(publisher_module, "write_atomic", crash_on_pointer)
     with pytest.raises(OSError):
         publisher.publish(pack_zone(replay_into_store(tape[:300])))
-    monkeypatch.setattr(SnapshotPublisher, "_write_atomic", real)
+    monkeypatch.setattr(publisher_module, "write_atomic", real)
 
     # the previous generation is still live and fully readable
     state = publisher.current()
