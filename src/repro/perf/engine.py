@@ -24,10 +24,15 @@ parallel runs byte-match.
 ``process_map`` caller whose workers need heavy state (a scan context,
 a query engine): build it in the parent, let fork share
 it, rebuild it on spawn.
+
+Importing this module pins numpy's bundled OpenBLAS to one thread per
+process (:func:`pin_blas_threads`): the program parallelizes with its
+own pools, and BLAS threads on top of them only oversubscribe the cores.
 """
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import (Callable, Generic, Iterable, List, Optional, Sequence,
                     Tuple, TypeVar)
@@ -35,6 +40,31 @@ from typing import (Callable, Generic, Iterable, List, Optional, Sequence,
 T = TypeVar("T")
 R = TypeVar("R")
 S = TypeVar("S")
+
+
+def pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread in this process.
+
+    The library's own default is one thread per core.  The program's
+    matrix products are small — a KNN fold's cosine matmul, for one — so
+    waking and handing off to a second thread costs far more than the
+    product: in ``pipeline --squats 400`` on a 2-core host that
+    matmul took about 78 ms per call on two threads and 7 ms on one.  The
+    setter is resolved from numpy's extension module, which links the
+    bundled ``scipy_openblas``; a numpy built without it has no such
+    symbol, and then nothing changes.  Forked pool workers inherit the
+    setting and spawned ones re-import this module.
+    """
+    try:
+        import numpy
+        library = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
+        set_threads = library.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    set_threads(1)
+
+
+pin_blas_threads()
 
 
 def shard(items: Iterable[T], chunk_size: int) -> List[List[T]]:

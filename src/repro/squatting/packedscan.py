@@ -20,9 +20,10 @@ A label is provably unclassifiable (the vector reject) when **all** hold:
 
 Labels that survive the reject are resolved by **in-kernel family
 matchers** over the same matrix — the detector's own (memoized) IDN
-single-substitution rule for each ``xn--`` row, a positionwise
-confusable-translation table for single-candidate homograph buckets,
-exact brand/affix span extraction for combo tokens and substrings, and
+single-substitution rule for each ``xn--`` row, one padded-bucket
+broadcast per edge for the homograph buckets (a positionwise
+confusable-translation table plus packed allowed-byte masks), exact
+brand/affix span extraction for combo tokens and substrings, and
 per-row wrongTLD checks against the aligned brand tables — so the
 per-domain Python classifier (``SquattingDetector._classify``, kept
 verbatim as the byte-identity oracle) only sees labels the matrix
@@ -106,6 +107,11 @@ def _allowed_bytes(label: str, memo: Dict[str, np.ndarray]) -> np.ndarray:
                 mask[ord(char)] = True
         memo[label] = mask
     return mask
+
+
+def _pack_byte_mask(mask: np.ndarray) -> np.ndarray:
+    """Pack 256-wide byte masks (last axis) into four u64 words."""
+    return np.packbits(mask, axis=-1, bitorder="little").view(np.uint64)
 
 
 def _membership(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -238,23 +244,24 @@ class DetectorMatrices:
         self.hb_last = np.zeros((width + 1, 256), dtype=bool)
         self.hb_first_allow = np.zeros((width + 1, 256, 256), dtype=bool)
         self.hb_last_allow = np.zeros((width + 1, 256, 256), dtype=bool)
-        # ordered candidate lists for the vector homograph matcher, keyed
-        # (edge, observed length, edge byte).  Each entry is a
-        # (label bytes, brand name, allow mask) triple: an ASCII label of
-        # the observed length carries its width-padded bytes — decidable
-        # positionwise against ``readable`` — while a shorter or
-        # non-ASCII candidate carries ``None`` bytes plus its
-        # allowed-byte mask, so rows with a byte outside the mask
-        # provably cannot match it and continue the vector walk; only
-        # rows compatible with such a marker go to the scalar DP.  The
-        # scalar bucket walk takes the first hit in insertion order,
-        # which the per-row walk below reproduces.  Labels *longer* than
-        # the observed length are dropped outright — the DP consumes at
-        # least one label char per brand char, so they can never match.
-        self.hom_buckets: Dict[Tuple[int, int, int],
-                               List[Tuple[Optional[np.ndarray],
-                                          Optional[str],
-                                          Optional[np.ndarray]]]] = {}
+        # padded bucket tensor for the vector homograph matcher.  Bucket
+        # ``hom_bucket[edge, observed length, edge byte]`` (-1: none)
+        # holds the bucket's labels in the scalar walk's insertion order,
+        # duplicates skipped, padded to C columns: ``hom_count`` columns
+        # are live.  An ASCII label of the observed length is a
+        # *candidate*: ``hom_enc`` holds its width-padded bytes, decidable
+        # positionwise against ``readable``, and ``hom_brand`` its brand's
+        # position in ``hom_names``.  A shorter or non-ASCII label is a
+        # *marker* (``hom_marker``) carrying its allowed-byte mask packed
+        # into four u64 words (``hom_allow``): a row with a byte outside
+        # the mask provably cannot match it, and a row inside it needs
+        # the scalar DP.  The scalar bucket walk takes the first hit in
+        # insertion order, so the first column that stops a row decides
+        # it.  Labels *longer* than the observed length are dropped
+        # outright — the DP consumes at least one label char per brand
+        # char, so they can never match.
+        self.hom_bucket = np.full((2, width + 1, 256), -1, dtype=np.int32)
+        kept: List[Tuple[int, List[str]]] = []
         allow_memo: Dict[str, np.ndarray] = {}
         for (length, edge, char), labels in detector._homograph_buckets.items():
             if not (0 <= length <= width and len(char) == 1
@@ -265,28 +272,40 @@ class DetectorMatrices:
             allow = self.hb_first_allow if edge == 0 else self.hb_last_allow
             for label in labels:
                 allow[length, ord(char)] |= _allowed_bytes(label, allow_memo)
-            entries: List[Tuple[Optional[np.ndarray], Optional[str],
-                                Optional[np.ndarray]]] = []
-            for label in dict.fromkeys(labels):
-                if len(label) > length:
-                    continue
+            walk = [label for label in dict.fromkeys(labels)
+                    if len(label) <= length]
+            if walk:
+                self.hom_bucket[edge, length, ord(char)] = len(kept)
+                kept.append((length, walk))
+        n_buckets = len(kept)
+        columns = max((len(walk) for _, walk in kept), default=1)
+        self.hom_enc = np.zeros((n_buckets, columns, width), dtype=np.uint8)
+        self.hom_brand = np.full((n_buckets, columns), -1, dtype=np.int32)
+        self.hom_marker = np.zeros((n_buckets, columns), dtype=bool)
+        self.hom_allow = np.zeros((n_buckets, columns, 4), dtype=np.uint64)
+        self.hom_count = np.array([len(walk) for _, walk in kept],
+                                  dtype=np.int32)
+        name_ids: Dict[str, int] = {}
+        for b, (length, walk) in enumerate(kept):
+            for c, label in enumerate(walk):
                 raw = label.encode("utf-8")
                 if len(label) == length and len(raw) == length:
-                    enc = np.zeros(width, dtype=np.uint8)
-                    enc[:length] = np.frombuffer(raw, dtype=np.uint8)
-                    entries.append(
-                        (enc, detector._brand_by_label[label].name, None))
+                    self.hom_enc[b, c, :length] = np.frombuffer(
+                        raw, dtype=np.uint8)
+                    name = detector._brand_by_label[label].name
+                    self.hom_brand[b, c] = name_ids.setdefault(
+                        name, len(name_ids))
                 else:
-                    entries.append(
-                        (None, None, _allowed_bytes(label, allow_memo)))
-            if entries:
-                self.hom_buckets[(edge, length, ord(char))] = entries
+                    self.hom_marker[b, c] = True
+                    self.hom_allow[b, c] = _pack_byte_mask(
+                        _allowed_bytes(label, allow_memo))
+        self.hom_names: List[str] = list(name_ids)
 
         # confusable-translation table: readable[l, t] <=> a lone byte l
         # can be read as byte t (identity included; NUL reads as NUL so
         # padding aligns).  For equal-length labels the confusables DP
         # degenerates to a positionwise check against this table, which is
-        # how single-candidate homograph buckets resolve without Python.
+        # how homograph candidates resolve without Python.
         self.readable = np.zeros((256, 256), dtype=bool)
         diag = np.arange(256)
         self.readable[diag, diag] = True
@@ -569,14 +588,17 @@ class PackedScanContext:
                            brands, details) -> None:
         """Vector step 3: resolve homograph-flagged rows.
 
-        Rows are grouped by (length, edge byte) bucket and walked through
-        the bucket's candidates in scalar order; equal-length ASCII
-        candidates are decided positionwise against the
-        confusable-translation table (for equal lengths every DP step
-        consumes exactly one character, so the positionwise check *is*
-        the DP).  A row that reaches a shorter or non-ASCII candidate
-        goes through the detector's scalar bucket walk — still cheap,
-        and counted as a homograph assist rather than a fallback.
+        Each open row gathers its (length, edge byte) bucket from the
+        padded bucket tensor and tests every column in one broadcast: an
+        equal-length ASCII candidate *stops* the row when the row reads
+        as it positionwise through the confusable-translation table (for
+        equal lengths every DP step consumes exactly one character, so
+        the positionwise check *is* the DP); a marker stops it when the
+        row's bytes all fall in the marker's allowed set.  The first stop
+        in insertion order decides the row, as in the scalar walk: a
+        candidate is a match, a marker sends the row through the
+        detector's scalar bucket walk — still cheap, and counted as a
+        homograph assist rather than a fallback.
         """
         mat = self.matrices
         hom_rows = np.nonzero(flags.homograph & rest)[0]
@@ -584,56 +606,51 @@ class PackedScanContext:
             return
         n = hom_rows.size
         L = lens[hom_rows]
-        first = padded[hom_rows, 0]
-        last = padded[hom_rows, np.maximum(L - 1, 0)]
+        sub = padded[hom_rows]
+        first = sub[:, 0]
+        last = sub[np.arange(n), np.maximum(L - 1, 0)]
         viable = (mat.hb_first[L, first] & flags.ok_first[hom_rows],
                   mat.hb_last[L, last] & flags.ok_last[hom_rows])
-        edges = (first.astype(np.int64), last.astype(np.int64))
-        sub = padded[hom_rows]
-        pres = flags.present[hom_rows]
+        pres = _pack_byte_mask(flags.present[hom_rows])[:, None, :]
         # the scalar walk tries first-bucket candidates before last-bucket
         # ones, in insertion order with duplicates skipped; re-checking a
-        # candidate is idempotent (a positionwise miss stays a miss), so
-        # the two passes below need no cross-bucket dedup
+        # candidate is idempotent (a miss stays a miss), so the two edge
+        # passes need no cross-bucket dedup
         open_mask = np.ones(n, dtype=bool)
         assist = np.zeros(n, dtype=bool)
-        for edge in (0, 1):
-            active = np.nonzero(open_mask & viable[edge])[0]
+        for edge, byte in ((0, first), (1, last)):
+            bucket = mat.hom_bucket[edge, L, byte]
+            active = np.nonzero(open_mask & viable[edge] & (bucket >= 0))[0]
             if active.size == 0:
                 continue
-            keys = L[active] * 256 + edges[edge][active]
-            for key in np.unique(keys):
-                bucket = mat.hom_buckets.get(
-                    (edge, int(key) // 256, int(key) % 256))
-                if not bucket:
-                    continue
-                group = active[keys == key]
-                alive = np.ones(group.size, dtype=bool)
-                for enc, brand, allow in bucket:
-                    live = group[alive]
-                    if live.size == 0:
-                        break
-                    if enc is None:
-                        # shorter or non-ASCII candidate: the scalar DP
-                        # must arbitrate any row whose bytes all fall in
-                        # the label's allowed set; the rest provably
-                        # cannot match it and keep walking
-                        compat = ~(pres[live] & ~allow).any(axis=1)
-                        if compat.any():
-                            assist[live[compat]] = True
-                            open_mask[live[compat]] = False
-                            alive[alive] = ~compat
-                        continue
-                    okpos = mat.readable[sub[live], enc].all(axis=1)
-                    if okpos.any():
-                        for g in live[okpos]:
-                            r = int(hom_rows[g])
-                            kind[r] = KIND_MATCH
-                            type_code[r] = _HOMOGRAPH_CODE
-                            brands[r] = brand
-                            details[r] = "ascii"
-                        open_mask[live[okpos]] = False
-                        alive[alive] = ~okpos
+            b = bucket[active]
+            # the broadcast spans the widest active bucket and the longest
+            # active label.  A column past its bucket's ``hom_count`` is an
+            # all-NUL candidate, and past a label's length both sides are
+            # NUL; NUL reads only as itself, so neither stops a row
+            cols = int(mat.hom_count[b].max())
+            span = int(L[active].max())
+            pairs = (sub[active, None, :span].astype(np.intp) << 8) \
+                | mat.hom_enc[b, :cols, :span]
+            spells = mat.readable.ravel()[pairs].all(axis=2)
+            present = pres[active]
+            fits = ((present & mat.hom_allow[b, :cols])
+                    == present).all(axis=2)
+            stop = np.where(mat.hom_marker[b, :cols], fits, spells)
+            hit = stop.any(axis=1)
+            rows, b = active[hit], b[hit]
+            col = stop[hit].argmax(axis=1)
+            open_mask[rows] = False
+            marker = mat.hom_marker[b, col]
+            assist[rows[marker]] = True
+            matched = hom_rows[rows[~marker]]
+            kind[matched] = KIND_MATCH
+            type_code[matched] = _HOMOGRAPH_CODE
+            for r, brand_id in zip(matched.tolist(),
+                                   mat.hom_brand[b[~marker],
+                                                 col[~marker]].tolist()):
+                brands[r] = mat.hom_names[brand_id]
+                details[r] = "ascii"
         arows = hom_rows[assist]
         if arows.size:
             self.kernel.homograph_assists += int(arows.size)

@@ -34,6 +34,7 @@ from repro.squatting.bits import (
     pack_window_codes,
 )
 from repro.squatting.combo import ComboModel
+from repro.squatting.confusables import CONFUSABLES, ascii_readable_pairs
 from repro.squatting.detector import SquattingDetector
 from repro.squatting.generator import SquattingGenerator
 from repro.squatting.packedscan import (
@@ -303,6 +304,158 @@ def test_property_kernel_equals_scalar_cascade(case):
 
 
 # ----------------------------------------------------------------------
+# property: homograph-heavy names over the paper catalog's buckets
+# ----------------------------------------------------------------------
+
+_READS_AS = {}
+for _variant, _base in ascii_readable_pairs():
+    _READS_AS.setdefault(_base, []).append(_variant)
+# multi-character ASCII confusables: a name using one is one byte longer
+# than the brand label, so only a marker's scalar DP can match it
+_WIDE = {base: [v for v in variants if len(v) > 1 and v.isascii()]
+         for base, variants in CONFUSABLES.items()}
+_BUCKET_SHAPES = {}
+
+
+def _reads_as(char):
+    return {char, *_READS_AS.get(char, ())}
+
+
+def _may_contain(label):
+    """Characters a homograph of ``label`` can hold (its own and every
+    confusable variant's), as the marker masks are defined."""
+    chars = set(label)
+    for base in label:
+        for variant in CONFUSABLES.get(base, ()):
+            chars.update(variant)
+    return chars
+
+
+def _walk(core):
+    """The scalar bucket walk's candidate order for a core label."""
+    buckets = _paper_detector()._homograph_buckets
+    for key in ((len(core), 0, core[0]), (len(core), 1, core[-1])):
+        for label in dict.fromkeys(buckets.get(key, ())):
+            if len(label) <= len(core):
+                yield label
+
+
+def _first_stop_is_marker(core):
+    """Whether the first label of the walk that can stop ``core`` is a
+    marker (shorter or non-ASCII) rather than an equal-length candidate
+    ``core`` reads as positionwise: the former costs one scalar assist."""
+    for label in _walk(core):
+        if len(label) == len(core) and label.isascii():
+            if all(x in _reads_as(y) for x, y in zip(core, label)):
+                return False
+        elif set(core) <= _may_contain(label):
+            return True
+    return False
+
+
+def _bucket_shapes():
+    """From the paper catalog's scalar buckets: markers that precede an
+    equal-length candidate, and (marker, candidate) pairs where a name
+    can both fit the marker and read as the candidate, with the choices
+    at each position of such a name."""
+    if not _BUCKET_SHAPES:
+        buckets = _paper_detector()._homograph_buckets
+        markers, doubles = set(), set()
+        for (length, edge, _char), labels in buckets.items():
+            walk = [label for label in dict.fromkeys(labels)
+                    if len(label) <= length]
+            for i, marker in enumerate(walk):
+                if len(marker) != length - 1 or len(marker) < 2:
+                    continue
+                for later in walk[i + 1:]:
+                    if len(later) != length:
+                        continue
+                    markers.add(marker)
+                    choices = [sorted(_reads_as(y) & _may_contain(marker))
+                               for y in later]
+                    pin = 0 if edge == 0 else length - 1
+                    choices[pin] = [later[pin]]
+                    if all(choices):
+                        doubles.add(tuple("".join(c) for c in choices))
+        _BUCKET_SHAPES["markers"] = sorted(markers)
+        _BUCKET_SHAPES["doubles"] = sorted(doubles)
+    return _BUCKET_SHAPES
+
+
+@st.composite
+def _homograph_names(draw):
+    brands = sorted(_paper_detector()._brand_by_label)
+    shapes = _bucket_shapes()
+    names = []
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        shape = draw(st.integers(min_value=0, max_value=3))
+        if shape == 0:
+            # interior rotated inside its (length, first/last byte) bucket
+            label = draw(st.sampled_from([b for b in brands if len(b) >= 4]))
+            mid = label[1:-1]
+            k = draw(st.integers(min_value=1, max_value=len(mid) - 1))
+            label = label[0] + mid[k:] + mid[:k] + label[-1]
+        elif shape == 1:
+            label = draw(st.sampled_from(brands))
+        elif shape == 2:
+            # one byte longer than a marker that precedes an equal-length
+            # candidate, every byte inside the marker's mask: a wide
+            # confusable where the label has one, else a doubled byte
+            label = draw(st.sampled_from(shapes["markers"]))
+            wide = [i for i, c in enumerate(label) if _WIDE.get(c)]
+            if wide:
+                i = draw(st.sampled_from(wide))
+                label = label[:i] + draw(st.sampled_from(_WIDE[label[i]])) \
+                    + label[i + 1:]
+            else:
+                i = draw(st.integers(min_value=1, max_value=len(label) - 1))
+                label = label[:i] + label[i] + label[i:]
+        else:
+            # fits a marker and reads as a later candidate: two stops
+            label = "".join(draw(st.sampled_from(choices)) for choices
+                            in draw(st.sampled_from(shapes["doubles"])))
+        # readable-pair substitutions (a brand label gets at least one)
+        for _ in range(draw(st.integers(min_value=int(shape == 1),
+                                        max_value=2 if shape < 3 else 0))):
+            spots = [i for i, c in enumerate(label) if c in _READS_AS]
+            if not spots:
+                break
+            i = draw(st.sampled_from(spots))
+            label = label[:i] + draw(st.sampled_from(_READS_AS[label[i]])) \
+                + label[i + 1:]
+        names.append(f"{label}.{draw(st.sampled_from(_TLDS))}")
+    return names
+
+
+@given(_homograph_names())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_property_homograph_kernel_equals_scalar_cascade(names):
+    """The padded-bucket broadcast keeps the scalar walk's first stop:
+    rotations, readable substitutions, marker-fitting and two-stop names
+    decide exactly as ``_classify`` does, at natural and wider widths and
+    through ``classify_batch``, and exactly the rows whose first stop is
+    a marker take the scalar assist."""
+    detector = _paper_detector()
+    zone, packed = _build_pair(names)
+    reference = digest_squat_matches(detector.scan(zone))
+    natural = PackedScanContext(detector, packed).width
+    for width in (None, natural + 8):
+        got = packed_scan(detector, packed, workers=1, width=width)
+        assert digest_squat_matches(got) == reference
+    # cores the cascade hands to step 3: not a brand label or an
+    # enumerated candidate (every generated core is ASCII, no xn--)
+    cores = {name.split(".")[0] for name in names}
+    step3 = [core for core in cores
+             if core not in detector._brand_by_label
+             and detector._label_index.lookup(core) is None]
+    assert packedscan.take_last_scan_stats().homograph_assists == \
+        sum(map(_first_stop_is_marker, step3))
+    queries = sorted(set(names))
+    assert PackedScanContext(detector, packed).classify_batch(queries) == \
+        [detector.classify_domain(query) for query in queries]
+
+
+# ----------------------------------------------------------------------
 # the bit-parallel edit-distance kernel against its scalar oracles
 # ----------------------------------------------------------------------
 
@@ -437,4 +590,7 @@ def test_survivor_mix_kernel_stats_unchanged(monkeypatch):
     stats = packedscan.take_last_scan_stats()
     assert (stats.rows, stats.survivors, stats.fast_hits) == \
         (19_008, 12_124, 1_273)
+    # a homograph walk that reorders first stops changes this count even
+    # where the verdicts still agree
+    assert stats.homograph_assists == 27
     assert stats.fallbacks == {"idn": 38}

@@ -112,6 +112,21 @@ class TestPoolSlot:
         assert _SLOT.state == "parent"
 
 
+def _blas_threads():
+    import ctypes
+
+    import numpy
+    try:
+        library = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
+        return library.scipy_openblas_get_num_threads64_()
+    except (AttributeError, OSError):
+        pytest.skip("numpy without the bundled scipy_openblas")
+
+
+def test_importing_the_engine_pins_blas_to_one_thread():
+    assert _blas_threads() == 1
+
+
 # ----------------------------------------------------------------------
 # sharded scan
 # ----------------------------------------------------------------------
