@@ -8,7 +8,9 @@ and representation are throughput knobs that never change an output
 byte.  This harness measures all of them, one layer per subsystem:
 
 * ``scaling``     — full pipeline runs at crawl workers x capture cache;
-  the tuned run (8 workers + cache) >= 2x the serial uncached one;
+  the tuned run (8 workers + cache) >= 2x the serial uncached one
+  (crawl workers are a modelled scheduler width, so only the cache can
+  move this ratio);
 * ``training``    — the learning core serial vs ``min(4, cpu_count)``
   train/extract workers (digests only);
 * ``zone_scale``  — dict-backed vs packed mmap scans of a synthetic
@@ -42,8 +44,9 @@ Each layer yields rows and gates in two fixed schemas:
 need default-scale inputs to time stably, so ``--smoke`` runs small
 inputs with the equality gates only.  Each layer runs in its own child
 process, so no earlier layer's heap skews its clocks or its peak RSS.
-The ledger file is written once with every layer; then the process
-exits 1 if any gate failed::
+The ledger file is written once with every layer, keeping any other
+top-level section already in it; then the process exits 1 if any gate
+failed::
 
     PYTHONPATH=src python benchmarks/bench_ledger.py [--smoke] [--out PATH]
     PYTHONPATH=src python -m pytest benchmarks/bench_ledger.py -k serving
@@ -935,12 +938,19 @@ def main(argv=None):
                         help="ledger JSON path")
     args = parser.parse_args(argv)
     scale = "smoke" if args.smoke else "default"
+    # sections this harness does not write (the squatbench medians) are
+    # kept; read before the layers run, so a bad file fails fast
+    ledger = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as handle:
+            ledger = json.load(handle)
     layers = [run_isolated(name, scale) for name in LAYERS]
     gates = [g for layer in layers for g in layer.gates]
+    ledger.update(scale=scale, cpu_count=os.cpu_count(),
+                  rows=[r for layer in layers for r in layer.rows],
+                  gates=gates)
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump({"scale": scale, "cpu_count": os.cpu_count(),
-                   "rows": [r for layer in layers for r in layer.rows],
-                   "gates": gates}, handle, indent=2)
+        json.dump(ledger, handle, indent=2)
         handle.write("\n")
     failed = [g for g in gates if not g["ok"]]
     print(f"wrote {args.out}: {len(gates) - len(failed)}/{len(gates)} "

@@ -654,7 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "mmaps it zero-copy across --scan-workers "
                                "(results are identical either way)")
     pipeline.add_argument("--crawl-workers", type=int, default=20,
-                          help="thread-pool width for crawl dispatch")
+                          help="modelled crawl scheduler width: sets worker "
+                               "ids and per-worker job counts (the crawl "
+                               "runs on one thread)")
     pipeline.add_argument("--train-workers", type=int, default=1,
                           help="process-pool width for forest trees and "
                                "cross-validation folds")

@@ -22,7 +22,9 @@ class PipelineConfig:
     knn_k: int = 5
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
 
-    # crawl
+    # crawl: ``crawl_workers`` is the modelled scheduler width (the
+    # paper's browser instances).  Domain groups always run in order on
+    # one thread, so it sets only worker ids and per-worker job counts.
     crawl_workers: int = 20
     snapshots: int = 4
     # Persist a partial crawl checkpoint to the artifact store every N

@@ -812,13 +812,11 @@ class SquatPhi:
         ordered merge matches the serial loop byte for byte.
         """
         originals = [self.original_screenshot(brand) for _, brand, _ in items]
-        workers = self.config.extract_workers
+        workers = max(1, self.config.extract_workers)
         work = [
             (domain, brand, capture.html, capture.screenshot.pixels, original)
             for (domain, brand, capture), original in zip(items, originals)
         ]
-        if workers <= 1 or len(work) <= 1:
-            return _measure_shard(work)
         chunk = max(1, -(-len(work) // (workers * 4)))
         parts = process_map(_measure_shard, shard(work, chunk), workers=workers)
         return [measurement for part in parts for measurement in part]

@@ -6,9 +6,9 @@ instances.  This package supplies the reproduction's execution engine for
 that scale:
 
 * :mod:`repro.perf.engine` — sharded process-pool maps (snapshot scan)
-  and ordered thread-pool maps (crawl dispatch), both with serial
-  fallbacks and deterministic ordered merges, plus :class:`PoolSlot`,
-  the per-process state protocol of every pool worker;
+  with a serial fallback and a deterministic ordered merge, plus
+  :class:`PoolSlot`, the per-process state protocol of every pool
+  worker;
 * :mod:`repro.perf.cache` — a content-addressed render/OCR/feature cache
   that lets duplicate page templates (parked pages, marketplace landers,
   template phishing kits) skip the expensive render → OCR → spell-correct
@@ -24,7 +24,7 @@ metadata (see DESIGN.md, "The execution engine's determinism contract").
 """
 
 from repro.perf.cache import CaptureCache
-from repro.perf.engine import PoolSlot, process_map, shard, thread_map
+from repro.perf.engine import PoolSlot, process_map, shard
 from repro.perf.report import CacheStats, PerfReport
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "PoolSlot",
     "process_map",
     "shard",
-    "thread_map",
 ]

@@ -22,19 +22,16 @@ are deterministic, OCR noise is seeded by raster content, spell correction
 by word), cache hits return byte-identical artifacts — ``--no-capture-cache``
 runs byte-match cached runs, which the test suite asserts.
 
-The cache is shared across crawler threads; a lock keeps the dictionaries
-consistent, and the render layer is *single-flight*: concurrent duplicate
-renders serialize on a per-key lock, so the second requester waits for
-the first and hits.  That both dedupes the work and makes the hit/miss
-split schedule-independent (misses == distinct keys), which keeps the
-CLI's counter output byte-deterministic.  Counters still never enter
-snapshot digests.
+The cache is a pair of plain dictionaries touched from one thread: the
+crawl runs its domain groups in order (see :mod:`repro.web.crawler`), so
+the first visit of a key misses and stores, and every later one hits.
+Misses therefore equal distinct keys, which keeps the CLI's counter
+output byte-deterministic.  Counters still never enter snapshot digests.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.perf.report import CacheStats
@@ -62,8 +59,8 @@ class CaptureCache:
     """Process-wide content-addressed cache for rendered-page artifacts.
 
     One instance serves a whole pipeline run and is shared by every
-    browser (crawler worker threads and degraded-stage visits) and the
-    feature extractor.  With ``enabled=False`` every lookup is a *bypass*:
+    browser (crawl lanes and degraded-stage visits) and the feature
+    extractor.  With ``enabled=False`` every lookup is a *bypass*:
     it misses unconditionally, stores nothing, and only counts how much
     traffic the cache would have absorbed.
     """
@@ -72,10 +69,8 @@ class CaptureCache:
                  stats: Optional[CacheStats] = None) -> None:
         self.enabled = enabled
         self.stats = stats if stats is not None else CacheStats()
-        self._lock = threading.Lock()
         self._render: Dict[Tuple[str, str, int], Tuple[str, Any]] = {}
         self._features: Dict[Tuple[str, str, Tuple], Any] = {}
-        self._render_inflight: Dict[Tuple[str, str, int], threading.Lock] = {}
 
     # ------------------------------------------------------------------
     # render layer
@@ -85,37 +80,23 @@ class CaptureCache:
         """Address of one rendered page: content × UA profile × epoch."""
         return (content_digest(body), profile, snapshot)
 
-    def render_lock(self, key: Tuple[str, str, int]) -> threading.Lock:
-        """Single-flight lock for one render key.
-
-        Holding it across lookup→render→store serializes concurrent
-        duplicates: the follower blocks until the leader stores, then
-        hits.  Misses therefore equal distinct keys regardless of thread
-        schedule.
-        """
-        with self._lock:
-            return self._render_inflight.setdefault(key, threading.Lock())
-
     def lookup_render(self, key: Tuple[str, str, int]) -> Optional[Tuple[str, Any]]:
         """Cached ``(executed html, screenshot)`` for a served body, or None."""
         if not self.enabled:
-            with self._lock:
-                self.stats.render_bypasses += 1
+            self.stats.render_bypasses += 1
             return None
-        with self._lock:
-            hit = self._render.get(key)
-            if hit is not None:
-                self.stats.render_hits += 1
-            else:
-                self.stats.render_misses += 1
-            return hit
+        hit = self._render.get(key)
+        if hit is not None:
+            self.stats.render_hits += 1
+        else:
+            self.stats.render_misses += 1
+        return hit
 
     def store_render(self, key: Tuple[str, str, int], html: str,
                      screenshot: Any) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self._render.setdefault(key, (html, screenshot))
+        self._render.setdefault(key, (html, screenshot))
 
     # ------------------------------------------------------------------
     # feature layer
@@ -129,30 +110,25 @@ class CaptureCache:
     def lookup_features(self, key: Tuple[str, str, Tuple]) -> Optional[Any]:
         """Cached :class:`PageFeatures` for page content, or None."""
         if not self.enabled:
-            with self._lock:
-                self.stats.feature_bypasses += 1
+            self.stats.feature_bypasses += 1
             return None
-        with self._lock:
-            hit = self._features.get(key)
-            if hit is not None:
-                self.stats.feature_hits += 1
-            else:
-                self.stats.feature_misses += 1
-            return hit
+        hit = self._features.get(key)
+        if hit is not None:
+            self.stats.feature_hits += 1
+        else:
+            self.stats.feature_misses += 1
+        return hit
 
     def store_features(self, key: Tuple[str, str, Tuple], features: Any) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self._features.setdefault(key, features)
+        self._features.setdefault(key, features)
 
     # ------------------------------------------------------------------
     def entry_counts(self) -> Dict[str, int]:
         """Number of distinct entries per layer (diagnostics/tests)."""
-        with self._lock:
-            return {"render": len(self._render), "features": len(self._features)}
+        return {"render": len(self._render), "features": len(self._features)}
 
     def render_keys(self):
         """Snapshot of render-layer keys (tests: cloaking isolation)."""
-        with self._lock:
-            return list(self._render.keys())
+        return list(self._render.keys())

@@ -1,6 +1,6 @@
-"""Ordered parallel maps: the execution primitives behind SquatPhi's scale.
+"""Ordered process-pool map: the execution primitive behind SquatPhi's scale.
 
-Two primitives, one contract — **results come back in input order**, so a
+One primitive, one contract — **results come back in input order**, so a
 parallel run merges to byte-identical output regardless of which worker
 finished first:
 
@@ -10,15 +10,13 @@ finished first:
   :class:`PoolSlot`, or rebuilt by ``initializer``) and then classifies
   whole id slices of registered domains.  Shard *work* is
   unordered across processes; shard *results* are merged in shard order.
-* :func:`thread_map` — I/O-shaped fan-out on a ``ThreadPoolExecutor``.
-  Used by the crawl scheduler, where each task is a self-contained domain
-  group (own clock lane, own fault-injector clone) so tasks never share
-  mutable state and order of completion cannot leak into results.
 
-Both fall back to a plain serial loop when ``workers <= 1`` or there is
+It falls back to a plain serial loop when ``workers <= 1`` or there is
 nothing to parallelize — the fallback runs the *same* function over the
 *same* shards, which is how the determinism suite can assert serial and
-parallel runs byte-match.
+parallel runs byte-match.  The crawl has no pool at all: its domain
+groups run in order on one thread, and ``crawl_workers`` only models the
+paper's scheduler width (see :mod:`repro.web.crawler`).
 
 :class:`PoolSlot` is the one per-process state protocol behind every
 ``process_map`` caller whose workers need heavy state (a scan context,
@@ -33,7 +31,7 @@ own pools, and BLAS threads on top of them only oversubscribe the cores.
 from __future__ import annotations
 
 import ctypes
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import (Callable, Generic, Iterable, List, Optional, Sequence,
                     Tuple, TypeVar)
 
@@ -85,21 +83,6 @@ def shard(items: Iterable[T], chunk_size: int) -> List[List[T]]:
     if current:
         shards.append(current)
     return shards
-
-
-def thread_map(fn: Callable[[T], R], items: Sequence[T],
-               workers: int) -> List[R]:
-    """Map ``fn`` over ``items`` on a thread pool, results in input order.
-
-    Tasks must be self-contained (no shared mutable state) — the crawl
-    scheduler guarantees this by giving each domain group its own clock
-    lane and fault-injector clone.  With ``workers <= 1`` or a single
-    item, runs the plain serial loop.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def process_map(fn: Callable[[T], R], shards: Sequence[T], workers: int,

@@ -202,7 +202,8 @@ class PerfReport:
 
     Attributes:
         scan_workers: process-pool width used for the snapshot scan.
-        crawl_workers: thread-pool width used for crawl dispatch.
+        crawl_workers: modelled crawl scheduler width (worker ids and
+            per-worker job counts; the crawl itself runs on one thread).
         train_workers: process-pool width for forest trees and CV folds.
         extract_workers: process-pool width for feature extraction.
         cache_enabled: whether the capture cache was active.

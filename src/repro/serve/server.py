@@ -1,7 +1,11 @@
 """The multi-worker serving front.
 
 :func:`serve_load` drives a planned micro-batch stream through one
-engine per worker process.  The worker protocol is the packed scan's:
+dispatch loop: poll the publisher, stamp the batch task with the current
+generation, then run it — inline on the front's own engine at one worker,
+or on a process pool with at most ``workers`` batches in flight.  Every
+result, inline or pooled, goes through the same merge.  The pool's
+worker protocol is the packed scan's:
 the parent prebuilds a :class:`QueryEngine` (detector indices, scan
 context, negative cache) in a :class:`~repro.perf.engine.PoolSlot`
 before the pool starts, fork-start platforms hand it to every worker as
@@ -28,6 +32,7 @@ are throughput metadata — never inputs to a verdict.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -134,12 +139,15 @@ def _serve_pool_init(catalog, generator, key: Tuple, path: str,
     _POOL.ensure(key, build)
 
 
-def _serve_batch(task: Tuple[int, str, Tuple[str, ...], float]
-                 ) -> Tuple[List[Verdict], float, int, KernelStats]:
+BatchTask = Tuple[int, str, Tuple[str, ...], float]
+BatchResult = Tuple[List[Verdict], float, int, KernelStats]
+
+
+def _serve_on(engine: QueryEngine, task: BatchTask) -> BatchResult:
     """(verdicts, service seconds, negcache hits, kernel delta) for one
-    batch task."""
+    batch task ``(generation, pathspec, names, dispatch time)``; the
+    engine first swaps to the task's generation if it is behind."""
     generation, path, names, now = task
-    engine = _POOL.state
     if engine.generation != generation:
         engine.reload(_open_pathspec(path), generation)
     hits_before = engine.stats.negcache_hits
@@ -149,6 +157,11 @@ def _serve_batch(task: Tuple[int, str, Tuple[str, ...], float]
     elapsed = time.perf_counter() - started
     return (verdicts, elapsed, engine.stats.negcache_hits - hits_before,
             engine.stats.kernel.delta(before))
+
+
+def _serve_batch(task: BatchTask) -> BatchResult:
+    """:func:`_serve_on` on this pool worker's engine."""
+    return _serve_on(_POOL.state, task)
 
 
 # ----------------------------------------------------------------------
@@ -201,66 +214,57 @@ def serve_load(detector, zone: PackedZone,
 
     results: List[Optional[List[Verdict]]] = [None] * len(batches)
     latencies: List[float] = []
-    started = time.perf_counter()
 
-    if workers <= 1:
-        engine = QueryEngine(
-            detector, zone, generation=generation,
-            negcache=NegativeVerdictCache(negcache_ttl, negcache_capacity)
-            if negcache else None,
-            scorer=scorer)
-        for index, batch in enumerate(batches):
-            poll(index)
-            if engine.generation != generation:
-                engine.reload(_open_pathspec(path), generation)
-            clock.advance_to(batch.dispatch_at)
-            t0 = time.perf_counter()
-            results[index] = engine.lookup_batch(
-                list(batch.names), now=batch.dispatch_at)
-            service = time.perf_counter() - t0
-            stats.service_seconds += service
-            latencies.extend(
-                (batch.dispatch_at - arrival + service) * 1e3
-                for arrival in batch.arrivals)
-        stats.negcache_hits = engine.stats.negcache_hits
-        stats.kernel.merge(engine.stats.kernel)
-    else:
-        key = (id(detector), zone.content_digest, bool(negcache),
-               float(negcache_ttl), int(negcache_capacity))
-        _POOL.ensure(key, lambda: _build_engine(
-            detector, zone, generation, negcache, negcache_ttl,
-            negcache_capacity))
-        initargs = (detector.catalog, detector.generator, key, path,
-                    generation, negcache, negcache_ttl, negcache_capacity)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_serve_pool_init,
-                                 initargs=initargs) as pool:
-            inflight: Dict[object, int] = {}
-            next_index = 0
-            while next_index < len(batches) or inflight:
-                while next_index < len(batches) and len(inflight) < workers:
-                    index = next_index
-                    next_index += 1
-                    poll(index)
-                    batch = batches[index]
-                    clock.advance_to(batch.dispatch_at)
-                    future = pool.submit(
-                        _serve_batch,
-                        (generation, path, batch.names, batch.dispatch_at))
-                    inflight[future] = index
+    def merge(index: int, result: BatchResult) -> None:
+        verdicts, service, hits, kernel = result
+        results[index] = verdicts
+        stats.service_seconds += service
+        stats.negcache_hits += hits
+        stats.kernel.merge(kernel)
+        batch = batches[index]
+        latencies.extend((batch.dispatch_at - arrival + service) * 1e3
+                         for arrival in batch.arrivals)
+
+    started = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        if workers <= 1:
+            engine = QueryEngine(
+                detector, zone, generation=generation,
+                negcache=NegativeVerdictCache(negcache_ttl, negcache_capacity)
+                if negcache else None,
+                scorer=scorer)
+            pool = None
+        else:
+            key = (id(detector), zone.content_digest, bool(negcache),
+                   float(negcache_ttl), int(negcache_capacity))
+            _POOL.ensure(key, lambda: _build_engine(
+                detector, zone, generation, negcache, negcache_ttl,
+                negcache_capacity))
+            initargs = (detector.catalog, detector.generator, key, path,
+                        generation, negcache, negcache_ttl,
+                        negcache_capacity)
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_serve_pool_init,
+                initargs=initargs))
+        inflight: Dict[object, int] = {}
+        next_index = 0
+        while next_index < len(batches) or inflight:
+            while next_index < len(batches) and len(inflight) < workers:
+                index = next_index
+                next_index += 1
+                poll(index)
+                batch = batches[index]
+                clock.advance_to(batch.dispatch_at)
+                task = (generation, path, batch.names, batch.dispatch_at)
+                if pool is None:
+                    merge(index, _serve_on(engine, task))
+                else:
+                    inflight[pool.submit(_serve_batch, task)] = index
+            if inflight:
                 done, _pending = wait(set(inflight),
                                       return_when=FIRST_COMPLETED)
                 for future in done:
-                    index = inflight.pop(future)
-                    verdicts, service, hits, kernel = future.result()
-                    results[index] = verdicts
-                    stats.service_seconds += service
-                    stats.negcache_hits += hits
-                    stats.kernel.merge(kernel)
-                    batch = batches[index]
-                    latencies.extend(
-                        (batch.dispatch_at - arrival + service) * 1e3
-                        for arrival in batch.arrivals)
+                    merge(inflight.pop(future), future.result())
 
     stats.wall_seconds = time.perf_counter() - started
     verdicts: List[Verdict] = []

@@ -144,15 +144,12 @@ class Browser:
         cache = self.capture_cache
         if cache is not None and cache.enabled:
             key = cache.render_key(body, self.user_agent.name, snapshot)
-            # single-flight: concurrent duplicates serialize per key, so
-            # the follower hits and the hit/miss split is deterministic
-            with cache.render_lock(key):
-                hit = cache.lookup_render(key)
-                if hit is not None:
-                    return hit
-                html, shot = self._render_uncached(body)
-                cache.store_render(key, html, shot)
-                return html, shot
+            hit = cache.lookup_render(key)
+            if hit is not None:
+                return hit
+            html, shot = self._render_uncached(body)
+            cache.store_render(key, html, shot)
+            return html, shot
         if cache is not None:
             cache.lookup_render(
                 cache.render_key(body, self.user_agent.name, snapshot))

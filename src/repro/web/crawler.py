@@ -2,12 +2,14 @@
 
 The paper crawls 657K domains with 5 machines × 20 Puppeteer instances, two
 device profiles each, four weekly snapshots.  We reproduce the *scheduler*
-faithfully — a worker pool with shared-counter work stealing (their shmget
-trick), per-worker browsers, per-profile captures — on top of the synthetic
-:class:`~repro.web.server.WebHost`.  Dispatch is real thread-pool
-parallelism (:func:`repro.perf.engine.thread_map`), yet crawls stay
-byte-reproducible for any worker count: see "Determinism under
-concurrency" below.
+faithfully — a balanced worker pool (their shmget work-stealing cursor,
+modelled as ``worker_id = job index % workers``), per-group browsers,
+per-profile captures — on top of the synthetic
+:class:`~repro.web.server.WebHost`, in simulated time.  Dispatch itself is
+one ordered loop on one thread: the work is CPU-bound Python, so real
+threads would only contend for the interpreter.  Crawls are
+byte-reproducible for any modelled worker count: see "Determinism of the
+modelled scheduler" below.
 
 Infrastructure instability is modelled too: the paper rejected Selenium for
 being "error-prone when crawling webpages at the million-level" — so visits
@@ -30,8 +32,8 @@ a real resilience stack:
 Everything is surfaced in the snapshot's
 :class:`~repro.faults.resilience.CrawlHealth` report.
 
-Determinism under concurrency
------------------------------
+Determinism of the modelled scheduler
+-------------------------------------
 The unit of dispatch is a *domain group* — all profile jobs of one domain.
 Each group runs on its own **time lane**: a private
 :class:`~repro.faults.clock.SimClock` starting at the crawl's shared
@@ -40,13 +42,13 @@ Each group runs on its own **time lane**: a private
 browsers.  Since fault draws and backoff jitter are hash-addressed (no
 RNG state) and the breaker/backoff timeline of a domain only reads its own
 lane clock, a group's outcome is a pure function of (plan, domain, jobs) —
-independent of which thread runs it and of what other groups do.  Group
-results are merged strictly in group order, so health counters, float
-sums, dead-letter order, and :meth:`CrawlSnapshot.digest` are
-byte-identical for any worker count, serial included.  A checkpoint stores
-each lane's elapsed time, so a resumed group continues its lane exactly
-where it stopped.  Wall-clock scheduling (which thread ran what, when) is
-execution metadata and is deliberately excluded from digests.
+independent of the modelled worker it is assigned to and of what other
+groups do.  Groups run and merge strictly in group order, so health
+counters, float sums, dead-letter order, and :meth:`CrawlSnapshot.digest`
+are byte-identical for any ``workers`` value.  A checkpoint stores each
+lane's elapsed time, so a resumed group continues its lane exactly where
+it stopped.  Worker ids and per-worker job counts are scheduling
+accounting and are deliberately excluded from digests.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from repro.faults.resilience import (
     DeadLetter,
     RetryPolicy,
 )
-from repro.perf.engine import thread_map
 from repro.web.browser import Browser, PageCapture
 from repro.web.http import CRAWL_PROFILES, MOBILE_UA, WEB_UA, UserAgent
 from repro.web.server import WebHost
@@ -195,24 +196,6 @@ class CrawlSnapshot:
         return hasher.hexdigest()
 
 
-class _SharedCounter:
-    """The crawler's work-stealing cursor.
-
-    Stands in for the kernel shared-memory segment the paper allocates with
-    ``shmget``: each worker atomically claims the next job index.  Job →
-    worker assignment derives from claimed indices, which is why
-    ``worker_id = index % workers`` below models the balanced claim order.
-    """
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def next(self) -> int:
-        claimed = self.value
-        self.value += 1
-        return claimed
-
-
 @dataclass
 class _GroupSpec:
     """One dispatch unit: every pending profile job of one domain."""
@@ -238,7 +221,12 @@ class _GroupOutcome:
 
 
 class DistributedCrawler:
-    """Worker-pool crawler over the synthetic web."""
+    """Crawler over the synthetic web with a modelled worker pool.
+
+    ``workers`` is the modelled scheduler width — the paper's browser
+    instances.  It sets only each job's ``worker_id`` and the snapshot's
+    ``worker_job_counts``; groups always run in order on one thread.
+    """
 
     def __init__(
         self,
@@ -268,7 +256,7 @@ class DistributedCrawler:
                 private one is created when omitted.
             capture_cache: optional
                 :class:`~repro.perf.cache.CaptureCache` shared by every
-                worker browser, so byte-identical page templates render
+                group's browsers, so byte-identical page templates render
                 once per (content, profile, snapshot).
         """
         if workers < 1:
@@ -315,7 +303,7 @@ class DistributedCrawler:
         """Run one (domain, profile) job through the resilience stack.
 
         All time flows through ``clock`` — the domain's private lane — so
-        the job's outcome is independent of concurrent groups.
+        the job's outcome is independent of every other group.
 
         Returns (capture, failed attempts, dead letter or None).
         """
@@ -341,8 +329,8 @@ class DistributedCrawler:
         already spent before a checkpoint, the fault-injector clone draws
         from the same plan (hash-addressed, so tallies — not draws —
         are private), and the browsers are group-local.  Nothing here
-        touches shared mutable state, which is what makes the group's
-        outcome thread-invariant.
+        reads another group's state, which is what makes the group's
+        outcome independent of the modelled scheduler.
         """
         lane_clock = SimClock(start=base_time + spec.lane_start)
         injector: Optional[FaultInjector] = None
@@ -414,10 +402,9 @@ class DistributedCrawler:
         """Crawl every domain with every profile for one snapshot.
 
         Jobs are (domain, profile) pairs; consecutive jobs of one domain
-        form a group, groups are dispatched on a thread pool (serial loop
-        when ``workers`` would not help), and outcomes are merged in group
-        order.  Per-worker job counts are recorded so tests can assert the
-        balance property the paper's IPC scheme provides.
+        form a group, and groups run and merge in group order.  Per-worker
+        job counts of the modelled scheduler are recorded so tests can
+        assert the balance property the paper's IPC scheme provides.
 
         Args:
             resume: checkpoint from a previous, interrupted pass over the
@@ -459,7 +446,7 @@ class DistributedCrawler:
 
         # the job budget is applied to the *pending job list in index
         # order*, before dispatch — so which jobs a checkpoint covers is a
-        # pure function of (jobs, completed, max_jobs), never of scheduling
+        # pure function of (jobs, completed, max_jobs), never of ``workers``
         pending = [
             (index, domain, profile)
             for index, (domain, profile) in enumerate(jobs)
@@ -486,14 +473,11 @@ class DistributedCrawler:
                     lane_start=lane_elapsed.get(domain, 0.0),
                 ))
 
-        outcomes = thread_map(
-            lambda spec: self._run_group(spec, snapshot, base_time),
-            specs, self.workers)
-
         # ordered merge: group order == job-index order, so every counter,
-        # float sum, and list below is schedule-invariant
+        # float sum, and list below is the same for any ``workers``
         injector = self.fault_injector
-        for outcome in outcomes:
+        for spec in specs:
+            outcome = self._run_group(spec, snapshot, base_time)
             for index, job_result in outcome.results:
                 key = (job_result.domain, job_result.profile)
                 result.worker_job_counts[job_result.worker_id] += 1

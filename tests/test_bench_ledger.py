@@ -30,3 +30,30 @@ def test_synth_registries_ignores_hash_seed():
     ).stdout) for seed in ("1", "2")]
     assert len(runs[0]["domains"]) == 300
     assert runs[0] == runs[1]
+
+
+def test_main_keeps_sections_it_does_not_write(tmp_path, monkeypatch):
+    """A ledger refresh rewrites rows and gates but keeps every other
+    top-level section (the committed squatbench medians)."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import bench_ledger
+
+    def fake_layer(name, scale):
+        layer = bench_ledger.Layer(name, scale)
+        layer.row("leg", 1, 0.5, digest="d")
+        layer.check("gate", 1, "==", 1)
+        return layer
+
+    monkeypatch.setattr(bench_ledger, "run_isolated", fake_layer)
+    out = tmp_path / "ledger.json"
+    out.write_text(json.dumps({"scale": "default", "cpu_count": 99,
+                               "rows": [{"stale": True}], "gates": [],
+                               "squatbench": {"pipeline": {"run_s": 4.5}}}))
+    assert bench_ledger.main(["--smoke", "--out", str(out)]) == 0
+    ledger = json.loads(out.read_text())
+    assert list(ledger) == ["scale", "cpu_count", "rows", "gates",
+                            "squatbench"]
+    assert ledger["squatbench"] == {"pipeline": {"run_s": 4.5}}
+    assert ledger["scale"] == "smoke"
+    assert [row["layer"] for row in ledger["rows"]] == list(bench_ledger.LAYERS)
+    assert len(ledger["gates"]) == len(bench_ledger.LAYERS)

@@ -121,31 +121,17 @@ class TestDisabledCacheByteMatch:
         assert off.feature_bypasses == on.feature_hits + on.feature_misses
 
 
-class TestSingleFlight:
-    def test_concurrent_duplicates_split_deterministically(self):
-        """N threads rendering the same body: exactly 1 miss, N-1 hits."""
-        import threading
-
+class TestRenderDedup:
+    def test_duplicate_visits_split_deterministically(self):
+        """N browsers visiting the same body: exactly 1 miss, N-1 hits."""
         host = _cloaked_host()
         cache = CaptureCache()
-        n_threads = 8
-        barrier = threading.Barrier(n_threads)
-        captures = [None] * n_threads
-
-        def visit(slot):
-            browser = Browser(host, WEB_UA, capture_cache=cache)
-            barrier.wait()
-            captures[slot] = browser.visit("http://cloaked.example/")
-
-        threads = [threading.Thread(target=visit, args=(i,))
-                   for i in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        n_visits = 8
+        captures = [Browser(host, WEB_UA, capture_cache=cache).visit(
+            "http://cloaked.example/") for _ in range(n_visits)]
 
         assert cache.stats.render_misses == 1
-        assert cache.stats.render_hits == n_threads - 1
+        assert cache.stats.render_hits == n_visits - 1
         assert len({c.html for c in captures}) == 1
 
 

@@ -1,9 +1,11 @@
 """Distributed crawler: scheduling, profiles, snapshots, statistics."""
 
+import threading
+
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan
-from repro.web.crawler import CrawlSnapshot, DistributedCrawler, _SharedCounter
+from repro.web.crawler import CrawlSnapshot, DistributedCrawler
 from repro.web.html import document, el
 from repro.web.http import MOBILE_UA, WEB_UA
 from repro.web.server import HostedSite, SiteBehavior, WebHost
@@ -94,9 +96,17 @@ def test_requires_at_least_one_worker(host):
         DistributedCrawler(host, workers=0)
 
 
-def test_shared_counter_is_sequential():
-    counter = _SharedCounter()
-    assert [counter.next() for _ in range(4)] == [0, 1, 2, 3]
+def test_wide_crawl_starts_no_thread(host, monkeypatch):
+    """``workers`` models the scheduler width; dispatch stays on the
+    calling thread at any width."""
+    def refuse(self):
+        raise AssertionError(f"crawl started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    snap = DistributedCrawler(host, workers=20).crawl(
+        [f"site{i}.com" for i in range(6)])
+    assert len(snap.results) == 12
+    assert sum(snap.worker_job_counts) == 12
 
 
 def crashing_crawler(host, rate, seed=0, **kwargs):

@@ -11,8 +11,7 @@ import pytest
 from repro.core import PipelineConfig, SquatPhi
 from repro.dns.zone import ZoneStore
 from repro.faults import FaultPlan
-from repro.perf import (CaptureCache, PerfReport, PoolSlot, process_map,
-                        shard, thread_map)
+from repro.perf import CaptureCache, PerfReport, PoolSlot, process_map, shard
 from repro.phishworld.world import WorldConfig, build_world
 from repro.squatting import packedscan
 from repro.squatting.detector import SquattingDetector
@@ -35,16 +34,6 @@ class TestShard:
     def test_rejects_nonpositive_chunk(self):
         with pytest.raises(ValueError):
             shard([1], 0)
-
-
-class TestThreadMap:
-    def test_results_in_input_order(self):
-        items = list(range(40))
-        assert thread_map(lambda x: x * x, items, workers=4) == [x * x for x in items]
-
-    def test_serial_fallback_matches(self):
-        items = list(range(10))
-        assert thread_map(str, items, workers=1) == thread_map(str, items, workers=4)
 
 
 def _square_chunk(chunk):
