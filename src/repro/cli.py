@@ -206,13 +206,27 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if args.max_retries < 0:
         print("error: --max-retries must be >= 0", file=sys.stderr)
         return 2
-    if (args.scan_workers < 1 or args.crawl_workers < 1
-            or args.train_workers < 1 or args.extract_workers < 1
-            or args.enrich_workers < 1):
-        print("error: worker counts must be >= 1", file=sys.stderr)
-        return 2
     if args.resume and not args.store:
         print("error: --resume requires --store", file=sys.stderr)
+        return 2
+
+    fault_plan = (FaultPlan.uniform(args.fault_rate, seed=args.fault_seed)
+                  if args.fault_rate > 0 else None)
+    try:
+        pipeline_config = PipelineConfig(
+            cv_folds=5, rf_trees=15,
+            fault_plan=fault_plan,
+            crawl_max_retries=args.max_retries,
+            scan_workers=args.scan_workers,
+            crawl_workers=args.crawl_workers,
+            train_workers=args.train_workers,
+            extract_workers=args.extract_workers,
+            enrich_workers=args.enrich_workers,
+            enrich_hedging=not args.no_enrich_hedging,
+            capture_cache=not args.no_capture_cache,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     config = WorldConfig(
@@ -224,20 +238,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         packed_zone=args.packed_zone,
     )
     world = build_world(config)
-    fault_plan = (FaultPlan.uniform(args.fault_rate, seed=args.fault_seed)
-                  if args.fault_rate > 0 else None)
-    pipeline_config = PipelineConfig(
-        cv_folds=5, rf_trees=15,
-        fault_plan=fault_plan,
-        crawl_max_retries=args.max_retries,
-        scan_workers=args.scan_workers,
-        crawl_workers=args.crawl_workers,
-        train_workers=args.train_workers,
-        extract_workers=args.extract_workers,
-        enrich_workers=args.enrich_workers,
-        enrich_hedging=not args.no_enrich_hedging,
-        capture_cache=not args.no_capture_cache,
-    )
     pipeline = SquatPhi(world, pipeline_config)
     store = ArtifactStore(args.store) if args.store else None
     try:
@@ -324,9 +324,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (SnapshotPublisher, digest_verdicts, plan_batches,
                              serve_load, synth_requests)
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     if args.queries < 1:
         print("error: --queries must be >= 1", file=sys.stderr)
         return 2
@@ -344,8 +341,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     tmp = None
     if args.hot_swap:
         # publish gen 1 into a scratch dir, then republish the same
-        # snapshot as gen 2 halfway through the burst: the workers'
-        # hot-reload path runs while in-flight batches drain on gen 1
+        # snapshot as gen 2 halfway through the burst: batches before
+        # the swap are answered by gen 1, the rest by gen 2
         tmp = tempfile.TemporaryDirectory(prefix="squatphi-serve-")
         publisher = SnapshotPublisher(tmp.name)
         _generation, path = publisher.publish(zone)
@@ -359,8 +356,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         verdicts, stats = serve_load(
-            detector, zone, requests,
-            workers=args.workers, max_batch=args.max_batch,
+            detector, zone, requests, max_batch=args.max_batch,
             max_delay=args.max_delay,
             negcache=not args.no_negcache,
             publisher=publisher, on_dispatch=on_dispatch)
@@ -393,7 +389,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     perf.record_serving(stats)
     print(perf.format_timings(), file=sys.stderr)
     print(f"  p50 {stats.p50_ms:.3f} ms, p99 {stats.p99_ms:.3f} ms "
-          f"({stats.qps:.0f} qps, {stats.workers} workers)",
+          f"({stats.qps:.0f} qps)",
           file=sys.stderr)
     return 0
 
@@ -713,10 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--qps", type=float, default=2000.0,
                        help="target arrival rate (sim clock)")
     serve.add_argument("--seed", type=int, default=1803)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="serving worker processes (each mmaps the "
-                            "snapshot zero-copy; verdicts are identical "
-                            "at any width)")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="micro-batch size bound")
     serve.add_argument("--max-delay", type=float, default=0.005,
@@ -725,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the TTL'd negative-verdict cache")
     serve.add_argument("--hot-swap", action="store_true",
                        help="republish the snapshot as a new generation "
-                            "mid-burst to exercise worker hot-reload")
+                            "mid-burst to exercise hot reload")
     serve.add_argument("--brands", nargs="*",
                        help="restrict the catalog to these brand domains")
     serve.add_argument("--sectors", nargs="*", choices=sector_choices,

@@ -82,3 +82,10 @@ class PipelineConfig:
     use_ocr: bool = True
     use_spellcheck: bool = True
     ocr_error_rate: float = 0.03
+
+    def __post_init__(self) -> None:
+        for name in ("scan_workers", "crawl_workers", "train_workers",
+                     "extract_workers", "enrich_workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")

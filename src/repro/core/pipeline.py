@@ -812,7 +812,7 @@ class SquatPhi:
         ordered merge matches the serial loop byte for byte.
         """
         originals = [self.original_screenshot(brand) for _, brand, _ in items]
-        workers = max(1, self.config.extract_workers)
+        workers = self.config.extract_workers
         work = [
             (domain, brand, capture.html, capture.screenshot.pixels, original)
             for (domain, brand, capture), original in zip(items, originals)

@@ -7,8 +7,8 @@ that scale:
 
 * :mod:`repro.perf.engine` — sharded process-pool maps (snapshot scan)
   with a serial fallback and a deterministic ordered merge, plus
-  :class:`PoolSlot`, the per-process state protocol of every pool
-  worker;
+  :class:`PoolSlot`, the per-process state of the packed scan's pool
+  workers;
 * :mod:`repro.perf.cache` — a content-addressed render/OCR/feature cache
   that lets duplicate page templates (parked pages, marketplace landers,
   template phishing kits) skip the expensive render → OCR → spell-correct

@@ -5,23 +5,26 @@ parallel run merges to byte-identical output regardless of which worker
 finished first:
 
 * :func:`process_map` — CPU-bound fan-out over shards on a
-  ``ProcessPoolExecutor``.  Used by the snapshot scan, where each worker
-  gets the packed scan context once (inherited through a
-  :class:`PoolSlot`, or rebuilt by ``initializer``) and then classifies
-  whole id slices of registered domains.  Shard *work* is
-  unordered across processes; shard *results* are merged in shard order.
+  ``ProcessPoolExecutor``, the only one under ``repro``.  Used by the
+  snapshot scan, where each worker gets the packed scan context once
+  (inherited through a :class:`PoolSlot`, or rebuilt by
+  ``initializer``) and then classifies whole id slices of registered
+  domains, and by training, feature extraction and the lifecycle diff.
+  Shard *work* is unordered across processes; shard *results* are
+  merged in shard order.
 
 It falls back to a plain serial loop when ``workers <= 1`` or there is
 nothing to parallelize — the fallback runs the *same* function over the
 *same* shards, which is how the determinism suite can assert serial and
 parallel runs byte-match.  The crawl has no pool at all: its domain
 groups run in order on one thread, and ``crawl_workers`` only models the
-paper's scheduler width (see :mod:`repro.web.crawler`).
+paper's scheduler width (see :mod:`repro.web.crawler`).  Serving has no
+pool either: :func:`~repro.serve.server.serve_load` runs every batch on
+one engine.
 
-:class:`PoolSlot` is the one per-process state protocol behind every
-``process_map`` caller whose workers need heavy state (a scan context,
-a query engine): build it in the parent, let fork share
-it, rebuild it on spawn.
+:class:`PoolSlot` holds per-process pool state that is too heavy to
+ship per task; its one user is the packed scan's context: build it in
+the parent, let fork share it, rebuild it on spawn.
 
 Importing this module pins numpy's bundled OpenBLAS to one thread per
 process (:func:`pin_blas_threads`): the program parallelizes with its
@@ -119,8 +122,8 @@ class PoolSlot(Generic[S]):
 
     Keys carry ``id()`` of live objects (the detector); the slot keeps a
     strong reference to the state, which must itself hold those objects,
-    so a cached key can never alias a recycled address.  One slot per
-    caller module, so each keeps at most one state alive.
+    so a cached key can never alias a recycled address.  A slot keeps at
+    most one state alive.
     """
 
     def __init__(self) -> None:

@@ -15,8 +15,8 @@ vectorized scan kernel, columnar enrichment) into that query service:
   overwhelmingly-common "not a squat" answer;
 * :mod:`~repro.serve.publisher` — atomic snapshot-generation publishing
   for hot reloads;
-* :mod:`~repro.serve.server` — the multi-worker serving front
-  (:func:`serve_load`) with fork-inherited engines;
+* :mod:`~repro.serve.server` — the serving front (:func:`serve_load`):
+  one loop on one engine, hot-swapping published generations;
 * :mod:`~repro.serve.loadgen` — deterministic query-stream synthesis
   for benches and the correctness harness.
 

@@ -5,7 +5,7 @@ matched brand, veto detail, the snapshot's registration bit, its
 enrichment columns, and (when a scorer is installed) the classifier
 score.  Every field is a pure function of (normalized name, snapshot
 generation), which is the contract the whole serving layer leans on:
-batching, caching, worker count, and hot-reload timing can change
+batching, caching and hot-reload timing can change
 throughput and latency but never a verdict byte.
 
 The engine composes the packed substrate end to end: the negative cache
@@ -49,14 +49,6 @@ class Verdict:
     @property
     def is_squat(self) -> bool:
         return self.squat_type is not None
-
-    def __reduce__(self):
-        # positional reduce: default frozen-dataclass pickling walks
-        # __getstate__ dicts per instance, and the worker->parent result
-        # path ships thousands of verdicts per second
-        return (Verdict, (self.domain, self.generation, self.registered,
-                          self.brand, self.squat_type, self.detail,
-                          self.enrichment, self.score))
 
 
 def verdict_line(verdict: Verdict) -> str:
@@ -146,9 +138,8 @@ class QueryEngine:
                generation: Optional[int] = None) -> None:
         """Swap in a new snapshot generation.
 
-        Only this engine's references move: a batch currently draining
-        elsewhere on the superseded mmap keeps its views alive until it
-        finishes, which is the whole hot-reload drain semantics.
+        Only this engine's references move: anything else still holding
+        the superseded mmap keeps its views alive until it lets go.
         """
         self._install(zone, generation)
         self.stats.reloads += 1

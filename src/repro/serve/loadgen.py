@@ -7,7 +7,7 @@ registered names, known squats, and synthesized never-registered names
 is sampled with replacement — the repetition is what gives the negative
 cache real traffic — under Poisson arrivals at a target QPS on the sim
 clock.  Everything is a pure function of the seed, so a request stream
-replays identically across legs, worker counts, and processes.
+replays identically across legs and processes.
 """
 
 from __future__ import annotations

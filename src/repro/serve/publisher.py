@@ -5,11 +5,11 @@ A publish directory holds generation-stamped PZON files plus a
 fsync (``write_atomic(..., durable=True)``, whose only caller this is),
 so a reader polling :meth:`SnapshotPublisher.current` sees either the
 old complete generation or the new complete generation, never a torn
-state, even across a power loss.  Workers
-hot-reload by comparing the polled generation number against their
+state, even across a power loss.  The serving
+front hot-reloads by comparing the polled generation number against its
 engine's — the stamp inside the PZON meta (see
 :func:`~repro.dns.packedzone.stamp_generation`) makes the handle
-self-describing, so a worker that mmaps the file late still knows which
+self-describing, so a reader that mmaps the file late still knows which
 generation is answering.
 
 The streaming path extends the pointer to a *chain*: one tab-separated

@@ -105,6 +105,16 @@ def test_pipeline_command_rejects_bad_fault_flags(capsys):
     assert "--max-retries" in capsys.readouterr().err
 
 
+def test_pipeline_command_rejects_bad_worker_counts(capsys):
+    assert main(["pipeline", "--crawl-workers", "0"]) == 2
+    assert "crawl_workers must be >= 1" in capsys.readouterr().err
+
+
+def test_serve_command_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "snapshot.pzon", "--workers", "2"])
+
+
 @pytest.mark.slow
 def test_pipeline_command_with_faults(capsys):
     code = main(["pipeline", "--squats", "120", "--fault-rate", "0.2",

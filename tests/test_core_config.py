@@ -18,6 +18,15 @@ class TestDefaults:
         assert embedding.use_ocr and embedding.use_lexical and embedding.use_forms
 
 
+@pytest.mark.parametrize("field", ["scan_workers", "crawl_workers",
+                                   "train_workers", "extract_workers",
+                                   "enrich_workers"])
+def test_worker_counts_below_one_are_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: 0})
+    assert getattr(PipelineConfig(**{field: 1}), field) == 1
+
+
 class TestModelSelection:
     @pytest.mark.parametrize("name,type_name", [
         ("random_forest", "RandomForest"),

@@ -157,7 +157,7 @@ def test_serve_load_hot_reloads_published_deltas(detector, tmp_path):
                  if not base.has_registered_domain(m.domain))
     requests = [(i * 0.01, added) for i in range(8)]
     verdicts, stats = serve_load(detector, base, requests,
-                                 workers=1, publisher=publisher)
+                                 publisher=publisher)
     assert stats.generation_swaps == 1
     assert all(v.generation == generation for v in verdicts)
     assert all(v.registered and v.is_squat for v in verdicts)
