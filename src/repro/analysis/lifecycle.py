@@ -59,7 +59,7 @@ ORGANIC = "organic"                 # family label for non-squat domains
 # parallel pair diffing
 # ----------------------------------------------------------------------
 
-def _diff_pair(paths: Tuple[str, str]) -> DiffTable:
+def _diff_pair(_context, paths: Tuple[str, str]) -> DiffTable:
     """Worker body: mmap both packs, run the vectorized kernel."""
     older, newer = paths
     return diff_packed(PackedZone.load(older), PackedZone.load(newer))

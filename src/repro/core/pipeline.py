@@ -18,7 +18,7 @@ from repro.faults.resilience import CrawlHealth, RetryPolicy
 from repro.features.embedding import FeatureEmbedder
 from repro.features.extraction import FeatureExtractor, PageFeatures
 from repro.perf import CaptureCache, PerfReport
-from repro.perf.engine import process_map, shard
+from repro.perf.engine import process_map, work_shards
 from repro.ml import (
     ClassificationReport,
     KNearestNeighbors,
@@ -62,10 +62,9 @@ from repro.web.http import MOBILE_UA, WEB_UA
 # is a pure function of page content (OCR noise is seeded by the raster,
 # fault draws are content-keyed hashes, spell correction is pure per
 # word), so worker processes rebuild an extractor from a picklable spec
-# and return features + cache deltas that merge back in shard order —
-# byte-identical to a serial pass for any worker count.
+# (the pool's context) and return features + cache deltas that merge back
+# in shard order — byte-identical to a serial pass for any worker count.
 # ----------------------------------------------------------------------
-_EXTRACT_CONTEXT: dict = {}
 
 
 @dataclass(frozen=True)
@@ -97,25 +96,20 @@ class ExtractorSpec:
         return extractor, cache, injector
 
 
-def _extract_init(spec: ExtractorSpec) -> None:
-    _EXTRACT_CONTEXT["spec"] = spec
-
-
-def _extract_shard(items):
+def _extract_shard(spec: ExtractorSpec, items):
     """Extract one shard of (html, pixels) pairs in a worker process.
 
     A fresh extractor per shard keeps the returned cache-stats delta a
     function of the shard alone (not of which worker happened to process
     which shards), so merged counters are run-to-run deterministic.
     """
-    spec: ExtractorSpec = _EXTRACT_CONTEXT["spec"]
     extractor, cache, injector = spec.build()
     features = [extractor.extract(html, pixels) for html, pixels in items]
     injected = dict(injector.injected) if injector is not None else {}
     return features, cache.stats, injected
 
 
-def _measure_shard(items):
+def _measure_shard(_context, items):
     """Evasion-measure one shard of (domain, brand, html, pixels, original)."""
     return [
         measure_page(domain=domain, brand_name=brand, html=html,
@@ -128,8 +122,9 @@ def _measure_shard(items):
 class ModelFactory:
     """Picklable classifier factory.
 
-    ``cross_validate(workers>1)`` ships the factory to fold workers, so it
-    must survive pickling — a bound lambda over the pipeline would not.
+    The factory is ``cross_validate``'s pool context: fork-start fold
+    workers inherit it, spawn-start ones unpickle it, so it must survive
+    pickling — a bound lambda over the pipeline would not.
     Forests built here fit their trees serially; the fold fan-out is the
     parallel axis (nesting pools inside pools would oversubscribe).
     """
@@ -476,15 +471,11 @@ class SquatPhi:
             slots = [[i] for i in range(len(pairs))]
 
         if jobs:
-            chunk = max(1, -(-len(jobs) // (workers * 4)))
             shard_results = process_map(
                 _extract_shard,
                 [[(html, pixels) for _, html, pixels in part]
-                 for part in shard(jobs, chunk)],
-                workers=workers,
-                initializer=_extract_init,
-                initargs=(self._extractor_spec(),),
-            )
+                 for part in work_shards(jobs, workers)],
+                workers, context=self._extractor_spec())
             position = 0
             for features_list, stats, injected in shard_results:
                 self.capture_cache.stats.merge(stats)
@@ -817,8 +808,8 @@ class SquatPhi:
             (domain, brand, capture.html, capture.screenshot.pixels, original)
             for (domain, brand, capture), original in zip(items, originals)
         ]
-        chunk = max(1, -(-len(work) // (workers * 4)))
-        parts = process_map(_measure_shard, shard(work, chunk), workers=workers)
+        parts = process_map(_measure_shard, work_shards(work, workers),
+                            workers)
         return [measurement for part in parts for measurement in part]
 
     # ------------------------------------------------------------------

@@ -7,9 +7,11 @@ ROC analysis (Fig 10) needs.
 Each tree's randomness comes from ``np.random.default_rng([seed, index])``
 — a per-tree stream derived only from the forest seed and the tree's
 position, never from how many trees were fitted before it.  That makes
-tree fits order-independent, so ``fit(workers=N)`` can fan trees out over
-a process pool and merge them back in index order with predictions that
-byte-match the serial build.  ``workers`` is a pure throughput knob.
+tree fits order-independent, so ``fit(workers=N)`` can fan tree chunks
+out through :func:`~repro.perf.engine.process_map` (the forest and the
+training matrix are each worker's context) and merge them back in index
+order with predictions that byte-match the serial build.  ``workers`` is
+a pure throughput knob.
 """
 
 from __future__ import annotations
@@ -21,23 +23,11 @@ import numpy as np
 
 from repro.ml.base import Classifier, check_xy
 from repro.ml.tree import DecisionTree
-from repro.perf.engine import process_map, shard
-
-# Training matrix shipped once per worker via the pool initializer instead
-# of once per task; workers look the forest parameters up here.
-_FIT_CONTEXT: dict = {}
+from repro.perf.engine import process_map, work_shards
 
 
-def _fit_init(forest: "RandomForest", x: "np.ndarray", y: "np.ndarray") -> None:
-    _FIT_CONTEXT["forest"] = forest
-    _FIT_CONTEXT["x"] = x
-    _FIT_CONTEXT["y"] = y
-
-
-def _fit_tree_chunk(indices: List[int]) -> List[DecisionTree]:
-    forest = _FIT_CONTEXT["forest"]
-    x = _FIT_CONTEXT["x"]
-    y = _FIT_CONTEXT["y"]
+def _fit_tree_chunk(context, indices: List[int]) -> List[DecisionTree]:
+    forest, x, y = context
     return [forest._fit_one_tree(index, x, y) for index in indices]
 
 
@@ -97,18 +87,9 @@ class RandomForest(Classifier):
         x, y = check_xy(x, y)
         if len(y) == 0:
             raise ValueError("empty training set")
-        indices = list(range(self.n_trees))
-        if workers <= 1:
-            self._trees = [self._fit_one_tree(i, x, y) for i in indices]
-            return self
-        chunk = max(1, math.ceil(self.n_trees / (workers * 4)))
-        chunks = process_map(
-            _fit_tree_chunk,
-            shard(indices, chunk),
-            workers=workers,
-            initializer=_fit_init,
-            initargs=(self, x, y),
-        )
+        chunks = process_map(_fit_tree_chunk,
+                             work_shards(range(self.n_trees), workers),
+                             workers, context=(self, x, y))
         # merge in index order: chunk results come back in submission order
         self._trees = [tree for part in chunks for tree in part]
         return self

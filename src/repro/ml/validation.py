@@ -1,11 +1,12 @@
 """Stratified k-fold cross-validation (Table 7 uses 10-fold).
 
 Folds are independent given the split assignment, so ``cross_validate``
-can fan them out over a process pool.  Every fold's out-of-fold scores are
-written back into one pooled array indexed by the fold's test indices —
-positions never overlap, so the merged array is byte-identical no matter
-how many workers ran or in what order folds finished.  ``workers`` is a
-pure throughput knob.
+can fan them out through :func:`~repro.perf.engine.process_map`, with
+``(make_model, x, y)`` as each worker's context.  Every fold's
+out-of-fold scores are written back into one pooled array indexed by the
+fold's test indices — positions never overlap, so the merged array is
+byte-identical no matter how many workers ran or in what order folds
+finished.  ``workers`` is a pure throughput knob.
 """
 
 from __future__ import annotations
@@ -18,21 +19,10 @@ from repro.ml.base import Classifier
 from repro.ml.metrics import ClassificationReport, classification_report
 from repro.perf.engine import process_map
 
-# (make_model, x, y) shipped once per worker via the pool initializer.
-_CV_CONTEXT: dict = {}
-
-
-def _cv_init(make_model, x: "np.ndarray", y: "np.ndarray") -> None:
-    _CV_CONTEXT["make_model"] = make_model
-    _CV_CONTEXT["x"] = x
-    _CV_CONTEXT["y"] = y
-
-
-def _cv_fold(split: Tuple["np.ndarray", "np.ndarray"]):
+def _cv_fold(context, split: Tuple["np.ndarray", "np.ndarray"]):
+    make_model, x, y = context
     train_idx, test_idx = split
-    x = _CV_CONTEXT["x"]
-    y = _CV_CONTEXT["y"]
-    model = _CV_CONTEXT["make_model"]()
+    model = make_model()
     model.fit(x[train_idx], y[train_idx])
     return test_idx, model.predict_proba(x[test_idx])
 
@@ -69,26 +59,14 @@ def cross_validate(
 
     Pooling (rather than averaging per-fold metrics) matches how a single
     Table 7 row summarizes one model.  With ``workers > 1`` the folds fit
-    concurrently; ``make_model`` must then be picklable (a module-level
-    function or callable object, not a lambda).
+    concurrently; on spawn-start platforms ``make_model`` must then be
+    picklable (a module-level function or callable object, not a lambda).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).astype(int)
     scores = np.empty(len(y), dtype=np.float64)
     splits = list(stratified_kfold(y, k=k, seed=seed))
-    if workers <= 1:
-        for train_idx, test_idx in splits:
-            model = make_model()
-            model.fit(x[train_idx], y[train_idx])
-            scores[test_idx] = model.predict_proba(x[test_idx])
-    else:
-        results = process_map(
-            _cv_fold,
-            splits,
-            workers=workers,
-            initializer=_cv_init,
-            initargs=(make_model, x, y),
-        )
-        for test_idx, fold_scores in results:
-            scores[test_idx] = fold_scores
+    for test_idx, fold_scores in process_map(_cv_fold, splits, workers,
+                                             context=(make_model, x, y)):
+        scores[test_idx] = fold_scores
     return classification_report(y, scores, threshold=threshold)

@@ -5,10 +5,9 @@ snapshot, §3.2 crawls 657K domains with 5 machines × 20 browser
 instances.  This package supplies the reproduction's execution engine for
 that scale:
 
-* :mod:`repro.perf.engine` — sharded process-pool maps (snapshot scan)
-  with a serial fallback and a deterministic ordered merge, plus
-  :class:`PoolSlot`, the per-process state of the packed scan's pool
-  workers;
+* :mod:`repro.perf.engine` — the sharded process-pool map every fan-out
+  uses, which hands each task its run's context, decides serial versus
+  pool, and merges results in shard order;
 * :mod:`repro.perf.cache` — a content-addressed render/OCR/feature cache
   that lets duplicate page templates (parked pages, marketplace landers,
   template phishing kits) skip the expensive render → OCR → spell-correct
@@ -24,14 +23,14 @@ metadata (see DESIGN.md, "The execution engine's determinism contract").
 """
 
 from repro.perf.cache import CaptureCache
-from repro.perf.engine import PoolSlot, process_map, shard
+from repro.perf.engine import process_map, shard, work_shards
 from repro.perf.report import CacheStats, PerfReport
 
 __all__ = [
     "CacheStats",
     "CaptureCache",
     "PerfReport",
-    "PoolSlot",
     "process_map",
     "shard",
+    "work_shards",
 ]

@@ -5,26 +5,25 @@ parallel run merges to byte-identical output regardless of which worker
 finished first:
 
 * :func:`process_map` — CPU-bound fan-out over shards on a
-  ``ProcessPoolExecutor``, the only one under ``repro``.  Used by the
-  snapshot scan, where each worker gets the packed scan context once
-  (inherited through a :class:`PoolSlot`, or rebuilt by
-  ``initializer``) and then classifies whole id slices of registered
-  domains, and by training, feature extraction and the lifecycle diff.
-  Shard *work* is unordered across processes; shard *results* are
-  merged in shard order.
+  ``ProcessPoolExecutor``, the only one under ``repro``.  Every task is
+  ``fn(context, shard)``: the caller's per-run state (the packed scan
+  context, the training matrix, the extractor spec) travels once per
+  worker through the pool initializer — inherited on fork, pickled on
+  spawn — and only the shards travel per task.  Used by the snapshot
+  scan, training, cross-validation, feature extraction, evasion
+  measurement and the lifecycle diff.  Shard *work* is unordered across
+  processes; shard *results* are merged in shard order.
 
-It falls back to a plain serial loop when ``workers <= 1`` or there is
-nothing to parallelize — the fallback runs the *same* function over the
-*same* shards, which is how the determinism suite can assert serial and
-parallel runs byte-match.  The crawl has no pool at all: its domain
-groups run in order on one thread, and ``crawl_workers`` only models the
-paper's scheduler width (see :mod:`repro.web.crawler`).  Serving has no
-pool either: :func:`~repro.serve.server.serve_load` runs every batch on
-one engine.
-
-:class:`PoolSlot` holds per-process pool state that is too heavy to
-ship per task; its one user is the packed scan's context: build it in
-the parent, let fork share it, rebuild it on spawn.
+It is also the one place that decides serial versus pool: with
+``workers <= 1`` or nothing to parallelize it runs the *same* function
+over the *same* shards in a plain loop, which is how the determinism
+suite can assert serial and parallel runs byte-match.
+:func:`work_shards` is the one chunking rule for callers that split a
+flat work list.  The crawl has no pool at all: its domain groups run in
+order on one thread, and ``crawl_workers`` only models the paper's
+scheduler width (see :mod:`repro.web.crawler`).  Serving has no pool
+either: :func:`~repro.serve.server.serve_load` runs every batch on one
+engine.
 
 Importing this module pins numpy's bundled OpenBLAS to one thread per
 process (:func:`pin_blas_threads`): the program parallelizes with its
@@ -35,12 +34,11 @@ from __future__ import annotations
 
 import ctypes
 from concurrent.futures import ProcessPoolExecutor
-from typing import (Callable, Generic, Iterable, List, Optional, Sequence,
-                    Tuple, TypeVar)
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-S = TypeVar("S")
+C = TypeVar("C")
 
 
 def pin_blas_threads() -> None:
@@ -88,57 +86,47 @@ def shard(items: Iterable[T], chunk_size: int) -> List[List[T]]:
     return shards
 
 
-def process_map(fn: Callable[[T], R], shards: Sequence[T], workers: int,
-                initializer: Optional[Callable] = None,
-                initargs: Tuple = ()) -> List[R]:
-    """Map ``fn`` over ``shards`` on a process pool, results in shard order.
+def work_shards(items: Sequence[T], workers: int) -> List[List[T]]:
+    """``items`` in about ``workers * 4`` consecutive shards.
 
-    ``initializer(*initargs)`` runs once per worker process to set up
-    per-process state (e.g. detector indices; see :class:`PoolSlot`), so
-    the heavy index build is paid at most ``workers`` times, not
-    ``len(shards)`` times.  With ``workers <= 1`` or a single shard,
-    runs serially in this process — calling the initializer first so
-    ``fn`` sees the same environment either way.
+    Four shards per worker let a fast worker pick up a slow one's share.
+    The split depends only on ``len(items)`` and ``workers``, so per-shard
+    results (and any per-shard cache-stats deltas) are the same on every
+    run with the same knobs.
+    """
+    return shard(items, max(1, -(-len(items) // (workers * 4))))
+
+
+# the running task's (fn, context) in a pool worker: set once per
+# process by _install, read by every task the worker runs
+_TASK: Optional[Tuple[Callable, Any]] = None
+
+
+def _install(fn: Callable, context: Any) -> None:
+    global _TASK
+    _TASK = (fn, context)
+
+
+def _run_task(item: Any) -> Any:
+    fn, context = _TASK
+    return fn(context, item)
+
+
+def process_map(fn: Callable[[C, T], R], shards: Sequence[T], workers: int,
+                *, context: C = None) -> List[R]:
+    """``[fn(context, s) for s in shards]``, spread over ``workers`` processes.
+
+    With ``workers <= 1`` or at most one shard this is that plain loop in
+    this process.  Otherwise each pool worker receives ``fn`` and
+    ``context`` once, through the pool initializer, and then only shards:
+    on fork-start platforms (Linux before Python 3.14) the initializer's
+    arguments are inherited, never pickled, so ``context`` may be any
+    object; spawn and forkserver pickle them, so there ``fn`` must be a
+    module-level function and ``context`` picklable (it may rebuild
+    itself in ``__reduce__``).  Results come back in shard order.
     """
     if workers <= 1 or len(shards) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(item) for item in shards]
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
-                             initargs=initargs) as pool:
-        return list(pool.map(fn, shards))
-
-
-class PoolSlot(Generic[S]):
-    """One keyed slot of per-process pool state.
-
-    The parent calls :meth:`ensure` *before* the pool starts, so
-    fork-start platforms (Linux) hand every worker the finished state as
-    copy-on-write pages.  The worker initializer calls :meth:`ensure`
-    again with the key the parent shipped in its initargs: when the key
-    matches the inherited slot nothing is rebuilt, otherwise (spawn-start
-    platforms, or a stale inherited slot) the state is rebuilt from the
-    picklable initargs.  Task functions then read :attr:`state`.
-
-    Keys carry ``id()`` of live objects (the detector); the slot keeps a
-    strong reference to the state, which must itself hold those objects,
-    so a cached key can never alias a recycled address.  A slot keeps at
-    most one state alive.
-    """
-
-    def __init__(self) -> None:
-        self._key: Optional[Tuple] = None
-        self._state: Optional[S] = None
-
-    def ensure(self, key: Tuple, build: Callable[[], S]) -> S:
-        """The state for ``key``: the cached one, or ``build()``'s."""
-        if self._state is None or self._key != key:
-            self._state = build()
-            self._key = key
-        return self._state
-
-    @property
-    def state(self) -> S:
-        if self._state is None:
-            raise RuntimeError("pool worker used before initialization")
-        return self._state
+        return [fn(context, item) for item in shards]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_install,
+                             initargs=(fn, context)) as pool:
+        return list(pool.map(_run_task, shards))

@@ -9,8 +9,8 @@ bound closed it.  Arrivals are sim-clock timestamps, so the plan — and
 therefore batch membership, dispatch times, and the negative cache's
 TTL arithmetic downstream — is a pure function of the request stream
 and the two knobs.  Per-request latency is ``dispatch - arrival`` plus
-service time: the classic batching trade the bench's p50/p99 columns
-make visible.
+any wait for the previous batch to finish plus service time: the classic
+batching trade the bench's p50/p99 columns make visible.
 """
 
 from __future__ import annotations

@@ -14,10 +14,14 @@ before its dispatch, which depends only on the publish schedule.  Every
 verdict is pure in (name, generation), so correctness is per-request
 checkable regardless (see ``offline_verdicts``).
 
-Latency accounting mixes two clocks on purpose: queueing delay
-(``dispatch - arrival``) is simulated time from the batch plan, service
-time is measured host time for the batch's vectorized classify.  Both
-are throughput metadata — never inputs to a verdict.
+Latency accounting mixes two clocks on purpose: arrivals and dispatch
+times are simulated time from the batch plan, service time is measured
+host time for the batch's vectorized classify.  One engine serves one
+batch at a time, so a batch starts at ``max(dispatch, previous batch's
+finish)`` and a request's latency runs from its arrival to its batch's
+finish — a slow batch delays every batch queued behind it.  Latencies
+are throughput metadata — never inputs to a verdict: the clock, and so
+the negative cache's TTLs, advance to dispatch times only.
 """
 
 from __future__ import annotations
@@ -140,6 +144,7 @@ def serve_load(detector, zone: PackedZone,
     path = ""
     results: List[List[Verdict]] = []
     latencies: List[float] = []
+    free_at = float("-inf")  # sim time the engine finishes its last batch
     for index, batch in enumerate(batches):
         if on_dispatch is not None:
             on_dispatch(index)
@@ -156,7 +161,8 @@ def serve_load(detector, zone: PackedZone,
         stats.service_seconds += service
         stats.negcache_hits += hits
         stats.kernel.merge(kernel)
-        latencies.extend((batch.dispatch_at - arrival + service) * 1e3
+        free_at = max(batch.dispatch_at, free_at) + service
+        latencies.extend((free_at - arrival) * 1e3
                          for arrival in batch.arrivals)
 
     stats.wall_seconds = time.perf_counter() - started

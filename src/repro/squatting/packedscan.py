@@ -36,12 +36,13 @@ Fixed-width ``S`` comparisons ignore trailing NUL padding, which is
 exactly padding-insensitive string equality here: labels are UTF-8 with
 no embedded NULs, so no two distinct labels collapse.
 
-Pool protocol: the parent builds the scan context in a
-:class:`~repro.perf.engine.PoolSlot` before the pool starts; workers
-inherit it on fork (or rebuild it and mmap the snapshot file on spawn),
-receive only ``(start, stop)`` registered-domain id ranges, and scan
-their slices zero-copy — nothing per-chunk is pickled except the
-per-slice match lists and a small stats delta.
+Pool protocol: each scan builds one :class:`PackedScanContext` in the
+parent and hands it to :func:`~repro.perf.engine.process_map` as the
+tasks' context; forked workers inherit it, spawned ones rebuild it from
+the detector's catalog and the snapshot file (``__reduce__``).  Tasks
+are ``(start, stop)`` registered-domain id ranges scanned zero-copy —
+nothing per-chunk is pickled except the per-slice match lists and a
+small stats delta.
 
 This module must not import ``repro.squatting.detector`` at module level
 (the detector imports us for dispatch); workers import it lazily.
@@ -57,7 +58,7 @@ import numpy as np
 
 from repro.dns.packedzone import PackedZone
 from repro.dns.records import split_domain
-from repro.perf.engine import PoolSlot, process_map
+from repro.perf.engine import process_map
 from repro.perf.report import KernelStats
 from repro.squatting.bits import pack_window_codes
 from repro.squatting.confusables import CONFUSABLES, ascii_readable_pairs
@@ -438,6 +439,13 @@ class PackedScanContext:
         self.hb_last_allow = matrices.hb_last_allow
         self.combo_w = matrices.combo_w
         self.combo_keys = matrices.combo_keys
+
+    def __reduce__(self):
+        # spawn/forkserver pool workers rebuild the context and mmap the
+        # snapshot file; fork inherits it and never pickles
+        detector = self.detector
+        return (_rebuild_context, (detector.catalog, detector.generator,
+                                   str(self.zone.ensure_file()), self.width))
 
     # ------------------------------------------------------------------
     def _gather_labels(self, uniq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -1001,36 +1009,22 @@ def clear_last_scan_stats() -> None:
     _LAST_SCAN_STATS = None
 
 
-# ----------------------------------------------------------------------
-# pool plumbing: the parent builds the context in a PoolSlot before the
-# pool starts; workers get (start, stop) id ranges only and scan slices
-# zero-copy
-# ----------------------------------------------------------------------
-_POOL: PoolSlot[PackedScanContext] = PoolSlot()
+def _rebuild_context(catalog, generator, path: str,
+                     width: int) -> PackedScanContext:
+    from repro.squatting.detector import SquattingDetector  # lazy: no cycle
+    return PackedScanContext(SquattingDetector(catalog, generator),
+                             PackedZone.load(path), width=width)
 
 
-def _packed_pool_init(catalog, generator, path: str, key: Tuple) -> None:
-    def build() -> PackedScanContext:
-        # spawn-start platforms (or a stale inherited slot): rebuild from
-        # the picklable initargs
-        from repro.squatting.detector import SquattingDetector  # lazy: no cycle
-        return PackedScanContext(SquattingDetector(catalog, generator),
-                                 PackedZone.load(path),
-                                 width=int(key[2]) or None)
-    _POOL.ensure(key, build)
-
-
-def _packed_scan_slice(
-        bounds: Tuple[int, int]) -> Tuple[List[SquatMatch], KernelStats]:
-    context = _POOL.state
+def _packed_scan_slice(context: PackedScanContext, bounds: Tuple[int, int]
+                       ) -> Tuple[List[SquatMatch], KernelStats]:
     before = context.kernel.copy()
     matches = context.scan_slice(*bounds)
     return matches, context.kernel.delta(before)
 
 
-def _packed_count_slice(
-        bounds: Tuple[int, int]) -> Tuple[Dict[SquatType, int], KernelStats]:
-    context = _POOL.state
+def _packed_count_slice(context: PackedScanContext, bounds: Tuple[int, int]
+                        ) -> Tuple[Dict[SquatType, int], KernelStats]:
     before = context.kernel.copy()
     histogram = context.count_slice(*bounds)
     return histogram, context.kernel.delta(before)
@@ -1040,23 +1034,14 @@ def _run_slices(slice_fn, detector, zone: PackedZone, workers: int,
                 width: Optional[int]) -> list:
     """``slice_fn`` over every id slice, results in slice order.
 
-    The context is built (or reused: repeated serial passes over the same
-    (detector, zone, width) share one) before any pool starts, so forked
-    workers inherit it.  The merged :class:`KernelStats` are published
-    via :func:`take_last_scan_stats`.
+    The merged :class:`KernelStats` are published via
+    :func:`take_last_scan_stats`.
     """
     global _LAST_SCAN_STATS
     n = zone.n_registered
     bounds = [(i, min(i + PACKED_CHUNK, n)) for i in range(0, n, PACKED_CHUNK)]
-    key = (id(detector), zone.content_digest, width or 0)
-    _POOL.ensure(key, lambda: PackedScanContext(detector, zone, width=width))
-    if workers <= 1 or len(bounds) <= 1:
-        results = [slice_fn(bound) for bound in bounds]
-    else:
-        path = zone.ensure_file()
-        results = process_map(
-            slice_fn, bounds, workers, initializer=_packed_pool_init,
-            initargs=(detector.catalog, detector.generator, str(path), key))
+    context = PackedScanContext(detector, zone, width=width)
+    results = process_map(slice_fn, bounds, workers, context=context)
     total = KernelStats()
     for _, delta in results:
         total.merge(delta)

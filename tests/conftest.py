@@ -11,6 +11,7 @@ import pytest
 
 from repro.brands import build_paper_catalog
 from repro.core import PipelineConfig, SquatPhi
+from repro.perf import engine
 from repro.phishworld.world import WorldConfig, build_world
 from repro.squatting import packedscan
 
@@ -55,18 +56,18 @@ def small_slices(monkeypatch):
     """Shrink kernel slices so a small test zone splits across a real pool.
 
     ``small_slices(rows)`` sets the slice size and returns a list that
-    gets the slice count of every pooled kernel run appended to it, so a
-    test can assert the pool started with more than one slice.
+    gets the task count of every process pool started appended to it, so
+    a test can assert the pool started with more than one slice.
     """
     pooled = []
-    process_map = packedscan.process_map
 
-    def counting_map(fn, items, *args, **kwargs):
-        items = list(items)
-        pooled.append(len(items))
-        return process_map(fn, items, *args, **kwargs)
+    class CountingPool(engine.ProcessPoolExecutor):
+        def map(self, fn, items, **kwargs):
+            items = list(items)
+            pooled.append(len(items))
+            return super().map(fn, items, **kwargs)
 
-    monkeypatch.setattr(packedscan, "process_map", counting_map)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
 
     def shrink(rows):
         monkeypatch.setattr(packedscan, "PACKED_CHUNK", rows)

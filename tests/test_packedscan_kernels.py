@@ -8,6 +8,7 @@ never a byte of output.
 """
 
 import gc
+import pickle
 import weakref
 from pathlib import Path
 
@@ -139,6 +140,19 @@ def test_kernel_scan_identical_across_workers_and_widths(small_slices):
                                       width=width) == ref_counts
     # workers {2, 4} x both widths x (scan, counts): every run a real pool
     assert len(pooled) == 8 and min(pooled) > 1
+
+
+def test_scan_context_pickles_to_an_identical_context():
+    # spawn/forkserver pool workers receive the context pickled
+    detector = _paper_detector()
+    _zone, packed = _build_pair(_adversarial_names())
+    natural = PackedScanContext(detector, packed).width
+    context = PackedScanContext(detector, packed, width=natural + 5)
+    clone = pickle.loads(pickle.dumps(context))
+    assert clone.width == context.width == natural + 5
+    n = packed.n_registered
+    assert clone.scan_slice(0, n) == context.scan_slice(0, n)
+    assert clone.count_slice(0, n) == context.count_slice(0, n)
 
 
 def test_kernel_fallback_rate_is_small_on_adversarial_corpus():

@@ -5,13 +5,16 @@ across checkpoint/resume splits (DESIGN.md, "The execution engine's
 determinism contract")."""
 
 import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core import PipelineConfig, SquatPhi
+from repro.dns.packedzone import pack_zone
 from repro.dns.zone import ZoneStore
 from repro.faults import FaultPlan
-from repro.perf import CaptureCache, PerfReport, PoolSlot, process_map, shard
+from repro.perf import PerfReport, engine, process_map, shard, work_shards
 from repro.phishworld.world import WorldConfig, build_world
 from repro.squatting import packedscan
 from repro.squatting.detector import SquattingDetector
@@ -36,7 +39,7 @@ class TestShard:
             shard([1], 0)
 
 
-def _square_chunk(chunk):
+def _square_chunk(_context, chunk):
     return [x * x for x in chunk]
 
 
@@ -46,59 +49,40 @@ class TestProcessMap:
         out = process_map(_square_chunk, shards, workers=2)
         assert [x for chunk in out for x in chunk] == [x * x for x in range(20)]
 
-    def test_serial_fallback_runs_initializer(self):
-        called = []
-        out = process_map(lambda c: c, [[1]], workers=1,
-                          initializer=called.append, initargs=("init",))
-        assert out == [[1]] and called == ["init"]
+    def test_serial_fallback_passes_context_without_a_pool(self,
+                                                           monkeypatch):
+        def no_pool(**kwargs):
+            raise AssertionError("serial fallback started a pool")
 
-
-_SLOT: PoolSlot = PoolSlot()
-
-
-def _slot_init(key):
-    _SLOT.ensure(key, lambda: "rebuilt")
-
-
-def _slot_read(_item):
-    return _SLOT.state
-
-
-class TestPoolSlot:
-    def test_matching_key_keeps_state_without_building(self):
-        slot = PoolSlot()
-        state = object()
-        assert slot.ensure((7, "zone"), lambda: state) is state
-
-        def fail():
-            raise AssertionError("builder called for a matching key")
-
-        assert slot.ensure((7, "zone"), fail) is state
-        assert slot.state is state
-
-    def test_different_key_rebuilds(self):
-        slot = PoolSlot()
-        slot.ensure((1,), lambda: "old")
-        assert slot.ensure((2,), lambda: "new") == "new"
-        assert slot.state == "new"
-
-    def test_state_before_ensure_raises(self):
-        with pytest.raises(RuntimeError):
-            PoolSlot().state
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        context = object()
+        assert process_map(lambda c, s: (c, s), [[1]], workers=4,
+                           context=context) == [(context, [1])]
+        assert process_map(lambda c, s: (c, s), [[1], [2]], workers=1,
+                           context=context) == [(context, [1]),
+                                                (context, [2])]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="inheritance needs fork-start workers")
-    def test_forked_workers_inherit_or_rebuild_by_key(self):
-        _SLOT.ensure(("parent",), lambda: "parent")
-        inherited = process_map(_slot_read, [0, 1, 2], workers=2,
-                                initializer=_slot_init,
-                                initargs=(("parent",),))
-        assert inherited == ["parent"] * 3
-        rebuilt = process_map(_slot_read, [0, 1, 2], workers=2,
-                              initializer=_slot_init,
-                              initargs=(("other",),))
-        assert rebuilt == ["rebuilt"] * 3
-        assert _SLOT.state == "parent"
+    def test_forked_workers_inherit_an_unpicklable_context(self):
+        # a lambda cannot be pickled: the workers can only have it by
+        # inheriting the parent's memory
+        context = lambda item: item * 10  # noqa: E731
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(context)
+        assert process_map(_apply_context, [0, 1, 2], workers=2,
+                           context=context) == [0, 10, 20]
+
+    def test_work_shards_are_consecutive_and_about_four_per_worker(self):
+        assert work_shards(range(10), 1) == [[0, 1, 2], [3, 4, 5], [6, 7, 8],
+                                             [9]]
+        assert [len(part) for part in work_shards(range(17), 2)] == \
+            [3] * 5 + [2]
+        assert work_shards([], 3) == []
+
+
+def _apply_context(context, item):
+    return context(item)
 
 
 def _blas_threads():
@@ -147,6 +131,26 @@ class TestShardedScan:
             detector.scan(small_world.zone)
         # no pool, no pack: the serial oracle ran and left no kernel stats
         assert pooled == [] and packedscan.take_last_scan_stats() is None
+
+    def test_spawned_workers_rebuild_the_context(self, small_world,
+                                                 monkeypatch):
+        # spawn (and forkserver, the Linux default from Python 3.14)
+        # pickles the scan context: workers rebuild it from the catalog
+        # and the snapshot file
+        started = []
+
+        def spawn_pool(**kwargs):
+            started.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(
+                mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", spawn_pool)
+        monkeypatch.setattr(packedscan, "PACKED_CHUNK", 37)
+        detector = SquattingDetector(small_world.catalog)
+        packed = pack_zone(small_world.zone)
+        assert packedscan.packed_scan(detector, packed, workers=2) == \
+            detector.scan(small_world.zone)
+        assert started == [2]
 
     def test_dict_zone_pools_through_the_kernel(self, small_world):
         detector = SquattingDetector(small_world.catalog)

@@ -37,6 +37,7 @@ from repro.serve import (
     synth_requests,
     verdict_line,
 )
+from repro.serve import server
 from repro.squatting.detector import SquattingDetector
 
 ZONE_NAMES = [
@@ -418,6 +419,29 @@ def test_serve_load_scorer_scores_match_engine(detector, zone):
         [name for _, name in requests])
     assert [v.score for v in verdicts] == [v.score for v in direct]
     assert 0.25 in {v.score for v in verdicts}
+
+
+def test_serve_load_latency_counts_the_backlog(detector, zone, monkeypatch):
+    # one request per batch, dispatched 1 ms apart, each taking 10 ms to
+    # serve: batch i starts when batch i - 1 finishes, at 10i ms, so its
+    # request waits 9i ms before its own 10 ms of service
+    serve_on = server._serve_on
+
+    def fixed_service(engine, task):
+        verdicts, _service, hits, kernel = serve_on(engine, task)
+        return verdicts, 0.010, hits, kernel
+
+    monkeypatch.setattr(server, "_serve_on", fixed_service)
+    names = [name for _, name in _requests(detector, zone, n=100)]
+    requests = [(i * 0.001, name) for i, name in enumerate(names)]
+    verdicts, stats = serve_load(detector, zone, requests, max_batch=1,
+                                 max_delay=0.0)
+    assert stats.batches == 100
+    assert stats.p50_ms == pytest.approx(9 * 49 + 10)
+    assert stats.p99_ms == pytest.approx(9 * 98 + 10)
+    # the negative cache's clock follows dispatch times, not service
+    assert digest_verdicts(verdicts) == digest_verdicts(
+        offline_verdicts(detector, zone, names))
 
 
 @pytest.mark.parametrize("swaps", [1, 2])
