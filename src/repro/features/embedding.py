@@ -41,13 +41,11 @@ class FeatureEmbedder:
         self,
         brand_names: Sequence[str],
         config: Optional[EmbeddingConfig] = None,
-        legacy: bool = False,
     ) -> None:
         self.config = config or EmbeddingConfig()
         self.vocabulary = Vocabulary()
         for name in brand_names:
             self.vocabulary.add(name)
-        self.legacy = legacy
         self._fitted = False
 
     # ------------------------------------------------------------------
@@ -93,35 +91,7 @@ class FeatureEmbedder:
     # ------------------------------------------------------------------
     def transform_one(self, page: PageFeatures) -> "np.ndarray":
         """Vectorize one page."""
-        if self.legacy:
-            return self._transform_one_reference(page)
         return self.transform([page])[0]
-
-    def _transform_one_reference(self, page: PageFeatures) -> "np.ndarray":
-        """Reference per-page build (the pre-batching hot path)."""
-        if not self._fitted:
-            raise RuntimeError("embedder must be fitted before transform")
-        vocab_size = len(self.vocabulary)
-        blocks: List[np.ndarray] = []
-        channel_tokens = (
-            (self.config.use_ocr, page.ocr_tokens),
-            (self.config.use_lexical, page.lexical_tokens),
-            (self.config.use_forms, page.form_tokens),
-        )
-        for enabled, tokens in channel_tokens:
-            if not enabled:
-                continue
-            block = np.zeros(vocab_size)
-            for token in tokens:
-                index = self.vocabulary.index(token)
-                if index is not None:
-                    block[index] += 1.0
-            blocks.append(block)
-        if self.config.use_numeric:
-            blocks.append(np.array([
-                float(getattr(page, name)) for name in self.NUMERIC_FEATURES
-            ]))
-        return np.concatenate(blocks) if blocks else np.zeros(0)
 
     def transform(self, pages: Sequence[PageFeatures]) -> "np.ndarray":
         """Vectorize a batch of pages into an (n, d) matrix.
@@ -129,14 +99,10 @@ class FeatureEmbedder:
         The whole batch is built as one allocation per channel: tokens from
         every page resolve to (row, column) pairs and a single scatter-add
         fills the channel block.  Counts are whole floats, so accumulation
-        order can't change a byte versus the old per-page build.
+        order can't change a byte versus a per-page, per-token build.
         """
         if not self._fitted:
             raise RuntimeError("embedder must be fitted before transform")
-        if self.legacy:
-            if not pages:
-                return np.zeros((0, self.dimension))
-            return np.stack([self._transform_one_reference(p) for p in pages])
         if not pages:
             return np.zeros((0, self.dimension))
         n = len(pages)

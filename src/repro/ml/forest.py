@@ -42,7 +42,6 @@ class RandomForest(Classifier):
         min_samples_leaf: int = 1,
         max_features: Optional[str] = "sqrt",
         seed: int = 7,
-        legacy: bool = False,
     ) -> None:
         if n_trees < 1:
             raise ValueError("need at least one tree")
@@ -52,7 +51,6 @@ class RandomForest(Classifier):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.legacy = legacy
         self._trees: Optional[List[DecisionTree]] = None
 
     def _features_per_split(self, total: int) -> Optional[int]:
@@ -75,10 +73,7 @@ class RandomForest(Classifier):
             min_samples_leaf=self.min_samples_leaf,
             max_features=self._features_per_split(x.shape[1]),
             rng=tree_rng,
-            legacy=self.legacy,
         )
-        if self.legacy:
-            return tree.fit(x[sample], y[sample])
         # hand the bootstrap to the indexed build as row indices — same
         # fitted tree, no full-width (n × features) copy per tree
         return tree.fit(x, y, sample=sample)

@@ -7,9 +7,10 @@ no per-feature Python loop.  Prediction is vectorized too: the fitted tree
 is flattened into parallel node arrays and a whole matrix descends level
 by level.
 
-Both hot paths keep a *reference* twin (``legacy=True``) — the original
-per-feature / per-row implementations — used by the equivalence tests to
-prove the vectorized paths return byte-identical outputs.
+The original per-feature split loop, copied-slice recursion and per-row
+node walk live on as oracles in ``tests/oracles.py``; the equivalence
+tests in ``tests/test_ml_models.py`` prove the vectorized paths return
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -47,14 +48,12 @@ class DecisionTree(Classifier):
         min_samples_leaf: int = 1,
         max_features: Optional[int] = None,
         rng: Optional["np.random.Generator"] = None,
-        legacy: bool = False,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = rng or np.random.default_rng(0)
-        self.legacy = legacy
         self._root: Optional[_Node] = None
         self._n_features = 0
 
@@ -72,21 +71,15 @@ class DecisionTree(Classifier):
         self._n_features = x.shape[1]
         self._importance = np.zeros(self._n_features)
         y = y.astype(np.float64)
-        if self.legacy:
-            if sample is not None:
-                x, y = x[sample], y[sample]
-            self._n_samples = x.shape[0]
-            self._root = self._build(x, y, depth=0)
+        if sample is None:
+            sample = np.arange(x.shape[0], dtype=np.int64)
         else:
-            if sample is None:
-                sample = np.arange(x.shape[0], dtype=np.int64)
-            else:
-                sample = np.asarray(sample, dtype=np.int64)
-            self._n_samples = len(sample)
-            # recurse on row indices into the one full matrix: a node only
-            # ever materializes its (rows × candidate-features) block, never
-            # a full-width copy of x per side like the reference build does
-            self._root = self._build_indexed(x, y, sample, depth=0)
+            sample = np.asarray(sample, dtype=np.int64)
+        self._n_samples = len(sample)
+        # recurse on row indices into the one full matrix: a node only
+        # ever materializes its (rows × candidate-features) block, never
+        # a full-width copy of x per side
+        self._root = self._build_indexed(x, y, sample, depth=0)
         self._flatten()
         return self
 
@@ -105,11 +98,9 @@ class DecisionTree(Classifier):
     def predict_proba(self, x) -> "np.ndarray":
         self._require_fitted("_root")
         x, _ = check_xy(x)
-        if self.legacy:
-            return self._predict_proba_reference(x)
         # vectorized descent: every row tracks its current node index and
         # the whole batch steps one level at a time.  The comparisons are
-        # the same ``row[feature] <= threshold`` floats as the reference
+        # the same ``row[feature] <= threshold`` floats as a per-row node
         # walk, so the leaf assignment (and output) is byte-identical.
         index = np.zeros(x.shape[0], dtype=np.int64)
         active = np.nonzero(self._node_feature[index] >= 0)[0]
@@ -121,16 +112,6 @@ class DecisionTree(Classifier):
                                      self._node_right[at])
             active = active[self._node_feature[index[active]] >= 0]
         return self._node_value[index]
-
-    def _predict_proba_reference(self, x: "np.ndarray") -> "np.ndarray":
-        """Reference per-row node walk (the pre-vectorization hot path)."""
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
-        return out
 
     def _flatten(self) -> None:
         """Linearize the node tree into parallel arrays for batch descent.
@@ -162,38 +143,15 @@ class DecisionTree(Classifier):
     # ------------------------------------------------------------------
     # fitting
     # ------------------------------------------------------------------
-    def _build(self, x: "np.ndarray", y: "np.ndarray", depth: int) -> _Node:
-        prediction = float(y.mean())
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or prediction in (0.0, 1.0)
-        ):
-            return _Node(prediction=prediction)
-        feature, threshold = self._best_split(x, y)
-        if feature < 0:
-            return _Node(prediction=prediction)
-        mask = x[:, feature] <= threshold
-        # weighted impurity decrease, accumulated for feature importances
-        n = len(y)
-        parent_gini = self._gini(y.sum(), n)
-        left_gini = self._gini(y[mask].sum(), mask.sum())
-        right_gini = self._gini(y[~mask].sum(), n - mask.sum())
-        children_gini = (mask.sum() * left_gini + (n - mask.sum()) * right_gini) / n
-        self._importance[feature] += (n / self._n_samples) * (parent_gini - children_gini)
-        left = self._build(x[mask], y[mask], depth + 1)
-        right = self._build(x[~mask], y[~mask], depth + 1)
-        return _Node(
-            prediction=prediction, feature=feature, threshold=threshold,
-            left=left, right=right,
-        )
-
     def _build_indexed(self, x: "np.ndarray", y: "np.ndarray",
                        idx: "np.ndarray", depth: int) -> _Node:
-        """The vectorized build: identical recursion to :meth:`_build`, but
-        a node carries its *row indices* into the one full matrix instead
-        of a full-width copy of its slice — the split search then gathers
-        only the (rows × candidate-features) block it actually scans."""
+        """Recursive CART build over row indices.
+
+        A node carries its *row indices* into the one full matrix instead
+        of a full-width copy of its slice, so the split search gathers
+        only the (rows × candidate-features) block it actually scans.
+        Nodes are built depth first, left before right, and each split
+        draws its candidate features from ``self.rng`` in that order."""
         labels = y[idx]
         prediction = float(labels.mean())
         if (
@@ -226,12 +184,6 @@ class DecisionTree(Classifier):
                                    replace=False)
         return np.arange(total_features)
 
-    def _best_split(self, x: "np.ndarray", y: "np.ndarray") -> tuple:
-        if self.legacy:
-            return self._best_split_reference(x, y)
-        features = self._candidate_features(x.shape[1])
-        return self._scan_columns(x[:, features], y, features)
-
     def _split_indexed(self, x: "np.ndarray", labels: "np.ndarray",
                        idx: "np.ndarray") -> tuple:
         features = self._candidate_features(x.shape[1])
@@ -244,10 +196,10 @@ class DecisionTree(Classifier):
 
         One 2-D pass: sort every candidate column at once, scan cumulative
         positive counts for every boundary of every column, and pick the
-        first feature (in candidate order) attaining the maximal gain —
-        exactly the winner the reference per-feature loop selects, because
-        ``argmax`` breaks ties toward the earlier boundary / feature just
-        as the loop's strict ``>`` update does.
+        first feature (in candidate order) attaining the maximal gain.
+        ``argmax`` breaks ties toward the earlier boundary and feature, the
+        same winner a per-feature loop with a strict ``>`` running-best
+        update selects.
         """
         n = columns.shape[0]
         positives = y.sum()
@@ -277,44 +229,6 @@ class DecisionTree(Classifier):
         row = per_feature_row[winner]
         threshold = (sorted_cols[row, winner] + sorted_cols[row + 1, winner]) / 2.0
         return (int(features[winner]), float(threshold))
-
-    def _best_split_reference(self, x: "np.ndarray", y: "np.ndarray") -> tuple:
-        """Reference per-feature split loop (the pre-vectorization search)."""
-        n = x.shape[0]
-        positives = y.sum()
-        features = self._candidate_features(x.shape[1])
-
-        best_gain = 1e-12
-        best = (-1, 0.0)
-        parent_gini = self._gini(positives, n)
-        for feature in features:
-            column = x[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_col = column[order]
-            sorted_y = y[order]
-            # cumulative positives left of each boundary
-            cum_pos = np.cumsum(sorted_y)
-            boundaries = np.nonzero(sorted_col[1:] > sorted_col[:-1])[0]
-            if len(boundaries) == 0:
-                continue
-            left_n = boundaries + 1
-            right_n = n - left_n
-            valid = (left_n >= self.min_samples_leaf) & (right_n >= self.min_samples_leaf)
-            if not valid.any():
-                continue
-            left_pos = cum_pos[boundaries]
-            right_pos = positives - left_pos
-            gini_left = self._gini_vec(left_pos, left_n)
-            gini_right = self._gini_vec(right_pos, right_n)
-            children = (left_n * gini_left + right_n * gini_right) / n
-            gains = np.where(valid, parent_gini - children, -1.0)
-            index = int(gains.argmax())
-            if gains[index] > best_gain:
-                best_gain = float(gains[index])
-                boundary = boundaries[index]
-                threshold = (sorted_col[boundary] + sorted_col[boundary + 1]) / 2.0
-                best = (int(feature), float(threshold))
-        return best
 
     @staticmethod
     def _gini(positives: float, count: float) -> float:

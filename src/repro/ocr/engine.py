@@ -45,13 +45,12 @@ def _runs_at_least(ink: "np.ndarray", length: int, axis: int) -> "np.ndarray":
     """Mask of pixels lying on a straight ink run of >= ``length`` cells.
 
     Morphological opening with a 1-D structuring element.  Two cumulative
-    sums replace the ``2 × length`` rolled-copy reductions the reference
-    opening used: a trailing window is fully inked iff its count equals
-    ``length`` (erosion), and a pixel survives dilation iff any eroded
-    seed lies in its forward window.  The rolled version's wrap-around
-    never contributed — the wrapped erosion rows are zeroed and wrapped
-    dilation windows only ever reach those zeroed rows — so the masks
-    are identical.
+    sums replace ``2 × length`` rolled-copy min/max reductions: a trailing
+    window is fully inked iff its count equals ``length`` (erosion), and a
+    pixel survives dilation iff any eroded seed lies in its forward
+    window.  A rolled opening's wrap-around never contributes — the
+    wrapped erosion rows are zeroed and wrapped dilation windows only
+    ever reach those zeroed rows — so the masks are identical.
     """
     if ink.shape[axis] < length:
         return np.zeros_like(ink)
@@ -68,37 +67,14 @@ def _runs_at_least(ink: "np.ndarray", length: int, axis: int) -> "np.ndarray":
     return np.moveaxis((seeds - ahead > 0).astype(ink.dtype), 0, axis)
 
 
-def _runs_at_least_reference(ink: "np.ndarray", length: int,
-                             axis: int) -> "np.ndarray":
-    """Reference rolled-copy opening (the pre-cumsum hot path)."""
-    if ink.shape[axis] < length:
-        return np.zeros_like(ink)
-    windows = [np.roll(ink, shift, axis=axis) for shift in range(length)]
-    eroded = np.minimum.reduce(windows)
-    # zero out the wrap-around region introduced by roll
-    if axis == 0:
-        eroded[:length - 1, :] = 0
-    else:
-        eroded[:, :length - 1] = 0
-    dilations = [np.roll(eroded, -shift, axis=axis) for shift in range(length)]
-    return np.maximum.reduce(dilations)
-
-
-def remove_form_lines(ink: "np.ndarray", legacy: bool = False) -> "np.ndarray":
+def remove_form_lines(ink: "np.ndarray") -> "np.ndarray":
     """Strip form-field borders and rules before recognition.
 
     Classical OCR preprocessing: glyphs in the 5×7 font never produce a
     horizontal run longer than ``GLYPH_WIDTH`` or a vertical run longer than
     ``GLYPH_HEIGHT``, so longer straight runs are box borders / separators
-    and are erased.  ``legacy`` selects the reference rolled-copy opening;
-    the cleaned raster is identical either way.
+    and are erased.
     """
-    if legacy:
-        horizontal = _runs_at_least_reference(ink, GLYPH_WIDTH + 2, axis=1)
-        vertical = _runs_at_least_reference(ink, GLYPH_HEIGHT + 2, axis=0)
-        cleaned = ink.copy()
-        cleaned[(horizontal | vertical) > 0] = 0
-        return cleaned
     # runs live entirely inside the ink bounding box, so scanning only
     # that window (most rasters are largely margin) changes nothing
     rows = np.flatnonzero(ink.any(axis=1))
@@ -135,8 +111,7 @@ class OCREngine:
     GARBLE_NOISE_SCALE = 12.0
 
     def __init__(self, error_rate: float = 0.03, drop_rate: float = 0.002,
-                 fault_injector: Optional["FaultInjector"] = None,
-                 legacy: bool = False) -> None:
+                 fault_injector: Optional["FaultInjector"] = None) -> None:
         """
         Args:
             error_rate: probability a recognized character is replaced by a
@@ -144,31 +119,26 @@ class OCREngine:
             drop_rate: probability a character is dropped entirely.
             fault_injector: optional deterministic fault source; rasters it
                 selects are recognized with heavily amplified noise.
-            legacy: decode bands cell by cell (the reference hot path)
-                instead of the batched whole-band template match.  Output
-                is byte-identical either way.
         """
         self.error_rate = error_rate
         self.drop_rate = drop_rate
         self.fault_injector = fault_injector
-        self.legacy = legacy
         chars = [char for char in FONT if char != " "]
         self._template_chars = chars
-        # (T, H*W) stacked template matrix for vectorized matching
-        self._template_matrix = np.stack(
-            [FONT[char].astype(np.int16).ravel() for char in chars]
-        )
-        # for the batched decode: templates and ink cells are 0/1, so
-        # |cell - template| sums to cell·1 + template·1 - 2·(cell @ template)
-        # — one small matmul instead of a (cells × T × H*W) broadcast
-        self._template_float = self._template_matrix.astype(np.float64)
+        # (T, H*W) stacked template matrix.  Templates and ink cells are
+        # 0/1, so |cell - template| sums to cell·1 + template·1
+        # - 2·(cell @ template) — one small matmul instead of a
+        # (cells × T × H*W) broadcast
+        self._template_float = np.stack(
+            [FONT[char].ravel() for char in chars]
+        ).astype(np.float64)
         self._template_mass = self._template_float.sum(axis=1)
 
     # ------------------------------------------------------------------
     def recognize(self, pixels: "np.ndarray") -> OCRResult:
         """Run the full segmentation + matching pipeline."""
         ink = (pixels < 128).astype(np.int16)
-        ink = remove_form_lines(ink, legacy=self.legacy)
+        ink = remove_form_lines(ink)
         lines: List[str] = []
         confidences: List[float] = []
         cells = 0
@@ -259,15 +229,13 @@ class OCREngine:
     ) -> Tuple[str, List[float], int]:
         """Decode a band assuming the glyph grid begins at column ``start``.
 
-        The batched path gathers every glyph cell of the band at once and
-        scores the whole block against the template matrix in one broadcast,
-        then replays the blank-run / noise bookkeeping sequentially.  The
-        replay consumes exactly one ``rng.random()`` draw per non-blank cell
-        in cell order — the same stream the per-cell reference walk draws —
-        so the decoded text is byte-identical.
+        Every glyph cell of the band is gathered at once and scored against
+        the template matrix in one matmul; the blank-run / noise bookkeeping
+        is then replayed sequentially.  The replay consumes exactly one
+        ``rng.random()`` draw per non-blank cell, in cell order — the same
+        stream a cell-by-cell walk draws — so the decoded text does not
+        depend on the batching.
         """
-        if self.legacy:
-            return self._decode_at_reference(band, start, rng, noise_scale)
         xs = np.arange(start, band.shape[1] - GLYPH_WIDTH + 1, _CELL_PITCH)
         if len(xs) == 0:
             return "", [], 0
@@ -316,61 +284,3 @@ class OCREngine:
             confidences.append(float(total - scores[j]) / total)
             j += 1
         return "".join(out), confidences, n_active
-
-    def _decode_at_reference(
-        self, band: "np.ndarray", start: int, rng: "np.random.Generator",
-        noise_scale: float = 1.0,
-    ) -> Tuple[str, List[float], int]:
-        """Reference cell-by-cell decode (the pre-vectorization hot path)."""
-        out: List[str] = []
-        confidences: List[float] = []
-        cells = 0
-        x = start
-        blank_run = 0
-        while x + GLYPH_WIDTH <= band.shape[1]:
-            cell = band[:, x:x + GLYPH_WIDTH]
-            if cell.sum() == 0:
-                blank_run += 1
-                x += _CELL_PITCH
-                # a run of 2+ blank cells is a word gap
-                if blank_run == 1 and out and out[-1] != " ":
-                    out.append(" ")
-                continue
-            blank_run = 0
-            char, confidence = self._match_cell(cell)
-            cells += 1
-            char = self._apply_noise(char, rng, noise_scale)
-            if char:
-                out.append(char)
-                confidences.append(confidence)
-            x += _CELL_PITCH
-        text = "".join(out)
-        return text, confidences, cells
-
-    def _match_cell(self, cell: "np.ndarray") -> Tuple[str, float]:
-        """Score a glyph cell against all templates; return best match."""
-        total = cell.size
-        disagreement = np.abs(self._template_matrix - cell.ravel()).sum(axis=1)
-        index = int(disagreement.argmin())
-        score = float(total - disagreement[index]) / total
-        return self._template_chars[index], score
-
-    def _apply_noise(self, char: str, rng: "np.random.Generator",
-                     noise_scale: float = 1.0) -> str:
-        if char == " ":
-            return char
-        drop_rate = min(0.2, self.drop_rate * noise_scale)
-        error_rate = min(0.6, self.error_rate * noise_scale)
-        roll = rng.random()
-        if roll < drop_rate:
-            return ""
-        if roll < drop_rate + error_rate:
-            return _CONFUSION_MAP.get(char, char)
-        return char
-
-    @staticmethod
-    def _rng_for(pixels: "np.ndarray") -> "np.random.Generator":
-        """Deterministic noise stream derived from raster content."""
-        digest = hashlib.sha256(pixels.tobytes()).digest()
-        seed = int.from_bytes(digest[:8], "big")
-        return np.random.default_rng(seed)

@@ -3,8 +3,8 @@
 Tesseract-style errors ("passwod", "passw0rd") are corrected against a
 dictionary of the keywords the classifier cares about: form vocabulary,
 brand names, and frequent ground-truth phishing terms.  Correction is
-conservative — a word is only rewritten when a dictionary entry lies within
-a small edit distance and the word itself is out-of-dictionary.
+conservative — a word is only rewritten when a dictionary entry lies one
+edit away and the word itself is out-of-dictionary.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ DEFAULT_LEXICON: Tuple[str, ...] = (
     "transfer", "update", "username", "verify", "wallet", "welcome",
     "winner", "your",
 )
+
+#: Edit distance of every correction.  The single-deletion index covers
+#: exactly this radius: an out-of-dictionary word is rewritten only to a
+#: dictionary word one edit away.
+MAX_DISTANCE = 1
 
 
 def damerau_levenshtein(a: str, b: str, cap: Optional[int] = None) -> int:
@@ -60,7 +65,7 @@ def damerau_levenshtein(a: str, b: str, cap: Optional[int] = None) -> int:
 
 
 class SpellChecker:
-    """Dictionary-based corrector with length-bucketed candidate lookup.
+    """Dictionary-based corrector with a single-deletion candidate index.
 
     Correction is a pure function of (word, dictionary), so an optional
     word-level memo (:meth:`enable_memo`) caches corrections without
@@ -72,19 +77,17 @@ class SpellChecker:
     def __init__(
         self,
         lexicon: Iterable[str] = DEFAULT_LEXICON,
-        max_distance: int = 1,
         min_word_length: int = 4,
-        legacy: bool = False,
     ) -> None:
-        """``legacy=True`` searches by scanning every length-adjacent
-        bucket (the reference path); the default uses a single-deletion
-        index, which returns the identical correction — see
-        :meth:`_search_indexed`."""
-        self.max_distance = max_distance
+        """Words shorter than ``min_word_length`` are never corrected.
+
+        Lookups go through a single-deletion index; see :meth:`_search`.
+        """
         self.min_word_length = min_word_length
-        self.legacy = legacy
         self._words: Set[str] = set()
-        self._by_length: Dict[int, List[str]] = defaultdict(list)
+        # length -> how many words of that length were added: a word's
+        # rank is its insertion order among words of its length
+        self._length_counts: Dict[int, int] = defaultdict(int)
         # deletion-form -> [(length, rank, word)]: every word is filed
         # under itself and each of its single-character deletions
         self._deletions: Dict[str, List[Tuple[int, int, str]]] = defaultdict(list)
@@ -107,9 +110,8 @@ class SpellChecker:
         word = word.lower()
         if word and word not in self._words:
             self._words.add(word)
-            bucket = self._by_length[len(word)]
-            entry = (len(word), len(bucket), word)
-            bucket.append(word)
+            entry = (len(word), self._length_counts[len(word)], word)
+            self._length_counts[len(word)] += 1
             for form in self._deletion_forms(word):
                 self._deletions[form].append(entry)
             if self._memo:
@@ -146,45 +148,26 @@ class SpellChecker:
         return corrected
 
     def _search(self, lowered: str) -> str:
-        if not self.legacy and self.max_distance == 1:
-            return self._search_indexed(lowered)
-        return self._search_reference(lowered)
-
-    def _search_indexed(self, lowered: str) -> str:
-        """Deletion-index search, byte-identical to the reference scan.
+        """First dictionary word at distance :data:`MAX_DISTANCE`, or
+        ``lowered`` unchanged.
 
         Every optimal-string-alignment edit at distance 1 (deletion,
         insertion, substitution, transposition) leaves the query and the
         dictionary word sharing a member of ``{word} ∪ single-deletions``,
         so the index lookup yields a superset of the true matches.
-        Candidates are replayed in the reference scan's order — length
-        ascending, then bucket insertion order — and the first one whose
-        verified distance is 1 wins, exactly as the bucket scan's
-        early return picks it.
+        Candidates are replayed length ascending, then in insertion order
+        within a length, and the first one whose verified distance is 1
+        wins — the word a scan of length-adjacent buckets would return
+        first.
         """
         candidates: Set[Tuple[int, int, str]] = set()
         for form in self._deletion_forms(lowered):
             candidates.update(self._deletions.get(form, ()))
         for _, _, candidate in sorted(candidates):
-            if damerau_levenshtein(lowered, candidate, cap=1) == 1:
+            if damerau_levenshtein(lowered, candidate,
+                                   cap=MAX_DISTANCE) == MAX_DISTANCE:
                 return candidate
         return lowered
-
-    def _search_reference(self, lowered: str) -> str:
-        """Reference length-bucket scan (the pre-index hot path)."""
-        best: Optional[str] = None
-        best_distance = self.max_distance + 1
-        for length in range(len(lowered) - self.max_distance,
-                            len(lowered) + self.max_distance + 1):
-            for candidate in self._by_length.get(length, ()):
-                distance = damerau_levenshtein(lowered, candidate, cap=self.max_distance)
-                if distance < best_distance:
-                    best_distance = distance
-                    best = candidate
-                    if distance == 1:
-                        # distance 0 is impossible here (not in dictionary)
-                        return best
-        return best if best is not None else lowered
 
     def correct_text(self, text: str) -> str:
         """Correct each whitespace-separated token of ``text``."""

@@ -5,10 +5,14 @@ the guarantee at every level that could silently regress (e.g. an
 accidental `hash()` or unseeded RNG).
 """
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.core import PipelineConfig, SquatPhi
+from repro.perf import engine
 from repro.phishworld.world import WorldConfig, build_world
 from repro.squatting.detector import SquattingDetector
 from repro.stages import ArtifactStore
@@ -156,10 +160,30 @@ class TestThroughputKnobDeterminism:
         return SquatPhi(build_world(SMALL), config).run(
             follow_up_snapshots=False)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_counts_change_no_output_byte(self, serial_result, workers):
+    @pytest.mark.parametrize("workers,start_method", [
+        pytest.param(2, None, id="2"),
+        pytest.param(4, None, id="4"),
+        pytest.param(2, "forkserver", id="2-forkserver"),
+    ])
+    def test_worker_counts_change_no_output_byte(self, serial_result, workers,
+                                                 start_method, monkeypatch):
+        started = []
+        if start_method is not None:
+            # forkserver (the Linux default from Python 3.14) pickles each
+            # pool's context: the forest, the CV matrices and the extractor
+            # spec with its spell checker reach the workers by value
+            if start_method not in multiprocessing.get_all_start_methods():
+                pytest.skip(f"no {start_method} start method here")
+            mp_context = multiprocessing.get_context(start_method)
+
+            def pool(**kwargs):
+                started.append(kwargs["max_workers"])
+                return ProcessPoolExecutor(mp_context=mp_context, **kwargs)
+
+            monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
         result = self._run(train_workers=workers, extract_workers=workers)
         _assert_byte_equivalent(result, serial_result)
+        assert started or start_method is None
 
     def test_resume_from_store_across_worker_counts(self, serial_result,
                                                     tmp_path):

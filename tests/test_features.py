@@ -7,6 +7,7 @@ from repro.features.embedding import EmbeddingConfig, FeatureEmbedder
 from repro.features.extraction import FeatureExtractor, PageFeatures
 from repro.web.html import document, el, parse_html
 from repro.web.screenshot import render_page
+from tests.oracles import transform_one_reference
 
 
 def login_page(brand="paypal", hide_brand_in_image=False):
@@ -140,15 +141,29 @@ class TestEmbedding:
         assert embedder.transform([]).shape == (0, embedder.dimension)
 
     def test_batch_transform_matches_reference(self):
-        # the scatter-add matrix build must byte-match the pre-vectorization
-        # per-page loop kept behind legacy=True
+        # the scatter-add matrix build must byte-match the per-page,
+        # per-token oracle
         pages = self.make_pages() + [PageFeatures()]
         fast = FeatureEmbedder(["paypal"]).fit(pages)
-        slow = FeatureEmbedder(["paypal"], legacy=True).fit(pages)
-        assert np.array_equal(fast.transform(pages), slow.transform(pages))
-        for page in pages:
-            assert np.array_equal(fast.transform_one(page),
-                                  slow.transform_one(page))
+        slow = np.stack([transform_one_reference(fast, page)
+                         for page in pages])
+        assert np.array_equal(fast.transform(pages), slow)
+        for page, reference in zip(pages, slow):
+            assert np.array_equal(fast.transform_one(page), reference)
+
+    def test_batch_transform_matches_reference_on_repeated_tokens(self):
+        # a token repeated within one page's channel counts once per
+        # occurrence; the make_pages() pages never repeat one
+        pages = self.make_pages() + [PageFeatures(
+            ocr_tokens=["paypal", "password", "paypal"],
+            lexical_tokens=["verify", "verify", "verify"],
+            form_tokens=["password", "password"],
+        )]
+        embedder = FeatureEmbedder(["paypal"]).fit(pages)
+        reference = np.stack([transform_one_reference(embedder, page)
+                              for page in pages])
+        assert reference[-1].max() == 3.0
+        assert np.array_equal(embedder.transform(pages), reference)
 
     def test_feature_names_match_dimension(self):
         embedder = FeatureEmbedder(["paypal"]).fit(self.make_pages())

@@ -10,6 +10,7 @@ from repro.ml import (
     MultinomialNaiveBayes,
     RandomForest,
 )
+from tests.oracles import ReferenceForest, ReferenceTree
 
 
 def separable_data(n=240, d=20, seed=0):
@@ -127,8 +128,8 @@ class TestTree:
 
 
 class TestVectorizedEquivalence:
-    """``legacy=True`` preserves the pre-vectorization reference paths;
-    the vectorized twins must reproduce them byte for byte."""
+    """The vectorized tree and indexed-bootstrap forest reproduce the
+    reference oracles of ``tests/oracles.py`` byte for byte."""
 
     @pytest.mark.parametrize("max_features", [None, 3])
     def test_tree_matches_reference(self, max_features):
@@ -137,9 +138,8 @@ class TestVectorizedEquivalence:
             x = np.round(x)  # integer grid -> plenty of threshold ties
             fast = DecisionTree(max_depth=8, max_features=max_features,
                                 rng=np.random.default_rng(seed)).fit(x, y)
-            slow = DecisionTree(max_depth=8, max_features=max_features,
-                                rng=np.random.default_rng(seed),
-                                legacy=True).fit(x, y)
+            slow = ReferenceTree(max_depth=8, max_features=max_features,
+                                 rng=np.random.default_rng(seed)).fit(x, y)
             assert np.array_equal(fast.predict_proba(x),
                                   slow.predict_proba(x))
             assert np.array_equal(fast.feature_importances,
@@ -148,8 +148,7 @@ class TestVectorizedEquivalence:
     def test_forest_matches_reference(self):
         x, y = separable_data(n=120, d=8, seed=5)
         fast = RandomForest(n_trees=6, max_depth=6, seed=11).fit(x, y)
-        slow = RandomForest(n_trees=6, max_depth=6, seed=11,
-                            legacy=True).fit(x, y)
+        slow = ReferenceForest(n_trees=6, max_depth=6, seed=11).fit(x, y)
         assert np.array_equal(fast.predict_proba(x), slow.predict_proba(x))
         assert np.array_equal(fast.feature_importances,
                               slow.feature_importances)

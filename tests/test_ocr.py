@@ -14,6 +14,11 @@ from repro.ocr.font import (
 )
 from repro.web.html import document, el, parse_html
 from repro.web.screenshot import render_page
+from tests.oracles import (
+    ReferenceOCREngine,
+    remove_form_lines_reference,
+    runs_at_least_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +144,11 @@ class TestLineRemoval:
 
 
 class TestLegacyEquivalence:
-    """The batched decode and cumsum morphology are byte-for-byte twins of
-    the reference cell-by-cell paths (``legacy=True``)."""
+    """The batched decode and cumsum morphology reproduce the rolled-copy
+    and cell-by-cell oracles of ``tests/oracles.py`` byte for byte."""
 
     def test_runs_at_least_matches_reference(self):
-        from repro.ocr.engine import _runs_at_least, _runs_at_least_reference
+        from repro.ocr.engine import _runs_at_least
 
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -153,7 +158,7 @@ class TestLegacyEquivalence:
                 for axis in (0, 1):
                     assert np.array_equal(
                         _runs_at_least(ink, length, axis),
-                        _runs_at_least_reference(ink, length, axis),
+                        runs_at_least_reference(ink, length, axis),
                     )
 
     def test_remove_form_lines_matches_reference(self):
@@ -169,11 +174,11 @@ class TestLegacyEquivalence:
         rasters.append(framed)
         for ink in rasters:
             assert np.array_equal(remove_form_lines(ink),
-                                  remove_form_lines(ink, legacy=True))
+                                  remove_form_lines_reference(ink))
 
     def test_recognize_matches_reference_on_rendered_pages(self):
         fast = OCREngine()
-        slow = OCREngine(legacy=True)
+        slow = ReferenceOCREngine()
         texts = [
             "please enter your password",
             "secure login\nverify account",
@@ -198,7 +203,7 @@ class TestLegacyEquivalence:
     def test_recognize_matches_reference_under_garble_noise(self):
         # high noise exercises the drop/confusion replay at every cell
         fast = OCREngine(error_rate=0.4, drop_rate=0.1)
-        slow = OCREngine(error_rate=0.4, drop_rate=0.1, legacy=True)
+        slow = ReferenceOCREngine(error_rate=0.4, drop_rate=0.1)
         raster = render_text("password account verify")
         pixels = np.where(raster > 0, 0, 255).astype(np.uint8)
         a = fast.recognize(pixels)

@@ -1,8 +1,11 @@
 """Damerau-Levenshtein distance and the OCR spell checker."""
 
+import random
+
 import pytest
 
 from repro.ocr.spellcheck import DEFAULT_LEXICON, SpellChecker, damerau_levenshtein
+from tests.oracles import ReferenceSpellChecker
 
 
 class TestDistance:
@@ -104,7 +107,7 @@ class TestDeletionIndexEquivalence:
     def test_matches_reference_scan(self):
         lexicon = list(DEFAULT_LEXICON) + ["paypal", "payal", "appple"]
         indexed = SpellChecker(lexicon)
-        reference = SpellChecker(lexicon, legacy=True)
+        reference = ReferenceSpellChecker(lexicon)
         for word in self._fuzz_words(lexicon):
             assert indexed.correct_word(word) == reference.correct_word(word)
 
@@ -112,8 +115,28 @@ class TestDeletionIndexEquivalence:
         # "payal" sits at distance 1 from both entries; the reference scan
         # visits the length-4 bucket first — the index must agree
         indexed = SpellChecker(["pays", "payal"[:-1] + "ll"])
-        reference = SpellChecker(["pays", "payal"[:-1] + "ll"], legacy=True)
+        reference = ReferenceSpellChecker(["pays", "payal"[:-1] + "ll"])
         assert indexed.correct_word("payal") == reference.correct_word("payal")
+
+    def test_many_way_ties_resolve_like_the_reference_scan(self):
+        # each query is one substitution from 26 words of its length and
+        # one deletion from a longer word added first; the reference scan
+        # returns the first-added word of the shorter length, whatever
+        # order the index's candidate set iterates in
+        shuffler = random.Random(3)
+        stems = ("gat", "mor", "pel", "sun", "vik", "dor", "lam", "tes")
+        lexicon = [stem + "1x" for stem in stems]
+        first = {}
+        for stem in stems:
+            words = [stem + char for char in "abcdefghijklmnopqrstuvwxyz"]
+            shuffler.shuffle(words)
+            first[stem] = words[0]
+            lexicon += words
+        indexed = SpellChecker(lexicon)
+        reference = ReferenceSpellChecker(lexicon)
+        for stem in stems:
+            assert indexed.correct_word(stem + "1") == \
+                reference.correct_word(stem + "1") == first[stem]
 
     def test_index_tracks_added_words(self):
         checker = SpellChecker([])
