@@ -13,7 +13,7 @@ equivalent workflows over this reproduction:
 * ``squatphi query <snapshot> <domain> ...`` — per-domain verdicts from the
   interactive serving engine (squat family, registration, enrichment);
 * ``squatphi serve <snapshot>`` — replay a synthetic query burst through the
-  batched multi-worker serving front and report QPS/latency;
+  batched serving front (one engine on one process) and report QPS/latency;
 * ``squatphi stream`` — drive a deterministic registration/CT-log event tape
   through the incremental ingest→delta-scan→compact loop and report
   events/sec plus sim-clock detection latency;
@@ -117,8 +117,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _verify_zone(zone, label: str) -> Optional[int]:
     """Run a snapshot's ``verify()`` when it has one; exit code on failure.
 
-    ``PackedZone``/``SegmentedZone`` recompute their payload digests;
-    dict-backed stores have nothing to verify and pass through.
+    A ``PackedZone`` recomputes its payload digest; dict-backed stores
+    have nothing to verify and pass through.
     """
     from repro.dns.packedzone import PackedZoneCorruptError
 

@@ -14,7 +14,6 @@ from repro.dns.activedns import load_snapshot, write_snapshot
 from repro.dns.deltazone import (
     DeltaSegment,
     DeltaSegmentBuilder,
-    SegmentedZone,
     compact,
     is_delta_file,
 )
@@ -36,7 +35,6 @@ from repro.dns.zonediff import (
     apply_diff,
     diff_packed,
     diff_serial,
-    diff_zones,
 )
 
 __all__ = [
@@ -49,13 +47,11 @@ __all__ = [
     "IDNAError",
     "REMOVED",
     "RETAINED",
-    "SegmentedZone",
     "ZoneStore",
     "apply_diff",
     "compact",
     "diff_packed",
     "diff_serial",
-    "diff_zones",
     "domain_to_ascii",
     "is_delta_file",
     "domain_to_unicode",

@@ -27,12 +27,14 @@ time of its last continuous presence.  That equivalence is what makes
 scratch — the Hypothesis property test in ``tests/test_deltazone.py``
 hammers it with random event tapes.
 
-**Read protocol.**  :class:`SegmentedZone` presents (base + ordered
-deltas) as one logical zone with the ``ZoneStore`` lookup protocol:
-iteration order is the union's insertion order, registered domains keep
-union first-seen order, ``verify()`` checks every constituent file's
-payload digest, and ``content_digest`` hashes the (base, delta...) chain
-so the logical union is content-addressed without materializing it.
+**Read protocol.**  There is one: a published chain (base + ordered
+delta files) opens through :func:`load_chain`, which compacts it into
+one :class:`~repro.dns.packedzone.PackedZone`.  Readers therefore see
+the same snapshot bytes whether the union arrives as a chain, a
+compacted base, or a from-scratch batch pack.  :func:`compact` checks
+the chain binding first: every delta must record the base's content
+digest and the seqs must ascend, else ``ValueError``.  Opening costs
+one replay plus one builder pass over the union (DESIGN.md §14).
 
 **Compaction policy.**  The streaming driver (``repro.stream``) seals a
 segment every ``segment_events`` events and compacts every
@@ -45,9 +47,8 @@ DESIGN.md §14.
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,8 +60,7 @@ from repro.dns.packedzone import (
     _pack_file,
     _unpack_meta,
 )
-from repro.dns.records import DNSRecord, split_domain
-from repro.dns.zone import MISS
+from repro.dns.records import split_domain
 
 PathLike = Union[str, Path]
 
@@ -197,29 +197,20 @@ def is_delta_file(path: PathLike) -> bool:
 
 
 # ----------------------------------------------------------------------
-# union replay (shared by SegmentedZone and compact)
+# compaction: the one way a chain is read
 # ----------------------------------------------------------------------
 
-def _replay_union(base: PackedZone, deltas: Sequence[DeltaSegment],
-                  ) -> Dict[str, Tuple[int, int]]:
-    """The union as an ordered ``name -> (segment index, record id)`` map.
-
-    Segment index 0 is the base; deltas follow in order.  Tombstones are
-    applied before a delta's net adds; a net add of a still-present name
-    replaces in place (dict assignment keeps position), otherwise it
-    appends — exactly ``ZoneStore``'s ordered-dict behaviour under the
-    raw event sequence.
-    """
-    union: Dict[str, Tuple[int, int]] = {}
-    for rec_id in range(base.n_records):
-        union[base._name_at(rec_id)] = (0, rec_id)
-    for seg_idx, segment in enumerate(deltas, start=1):
-        for name in segment.tombstones:
-            union.pop(name, None)
-        zone = segment.zone
-        for rec_id in range(zone.n_records):
-            union[zone._name_at(rec_id)] = (seg_idx, rec_id)
-    return union
+def _check_chain(base: PackedZone, deltas: Sequence[DeltaSegment]) -> None:
+    """Every delta sealed against ``base``, in strictly ascending seq."""
+    expected = base.content_digest
+    for segment in deltas:
+        if segment.base_digest != expected:
+            raise ValueError(
+                f"delta segment seq={segment.seq} was built against "
+                f"base {segment.base_digest[:12]}…, got {expected[:12]}…")
+    seqs = [segment.seq for segment in deltas]
+    if any(later <= earlier for earlier, later in zip(seqs, seqs[1:])):
+        raise ValueError(f"delta segments out of order: {seqs}")
 
 
 def compact(base: PackedZone, deltas: Sequence[DeltaSegment]) -> PackedZone:
@@ -228,261 +219,44 @@ def compact(base: PackedZone, deltas: Sequence[DeltaSegment]) -> PackedZone:
     Byte-identical to building one PZON snapshot from the replayed
     union: record order, registered-domain first-seen order, and every
     intern table match what a ``ZoneStore`` fed the same event sequence
-    would pack to.
+    would pack to.  Raises ``ValueError`` unless every delta was sealed
+    against ``base`` (its recorded ``base_digest``) and the seqs
+    ascend.
+
+    Replay keeps the union as an ordered ``name -> (zone, record id)``
+    map: tombstones are applied before a delta's net adds, and a net add
+    of a still-present name replaces in place (dict assignment keeps
+    position), otherwise it appends — exactly ``ZoneStore``'s
+    ordered-dict behaviour under the raw event sequence.
     """
+    _check_chain(base, deltas)
     if not deltas:
         return base
-    zones = [base] + [segment.zone for segment in deltas]
+    union: Dict[str, Tuple[PackedZone, int]] = {}
+    for rec_id in range(base.n_records):
+        union[base._name_at(rec_id)] = (base, rec_id)
+    for segment in deltas:
+        for name in segment.tombstones:
+            union.pop(name, None)
+        zone = segment.zone
+        for rec_id in range(zone.n_records):
+            union[zone._name_at(rec_id)] = (zone, rec_id)
     builder = PackedZoneBuilder()
-    for seg_idx, rec_id in _replay_union(base, deltas).values():
-        zone = zones[seg_idx]
+    for name, (zone, rec_id) in union.items():
         builder.add_name(
-            zone._name_at(rec_id), ip=zone._ip_at(rec_id),
+            name, ip=zone._ip_at(rec_id),
             source=zone.sources[int(zone.rec_src[rec_id])],
             record_type=zone.record_types[int(zone.rec_type[rec_id])])
     return builder.build()
 
 
-class SegmentedZone:
-    """(base + ordered deltas) presented as one logical zone.
+def load_chain(base_path: PathLike,
+               delta_paths: Sequence[PathLike]) -> PackedZone:
+    """Open a published (base, ordered delta files) chain as one snapshot.
 
-    Implements the ``ZoneStore`` read protocol over the logical union
-    without materializing it as records: lookups resolve through a lazy
-    name index into the owning segment's columns; iteration and
-    ``registered_domains()`` follow union insertion / first-seen order,
-    so digests over them match the compacted snapshot's.
-
-    The scan-kernel plumbing (``n_cores``/``core_off``/``core_blob``)
-    delegates to the *base* so a :class:`PackedScanContext` built over a
-    segmented zone classifies arbitrary names with base-width matrices —
-    the serving engine's ``classify_batch`` path is width-safe for any
-    label length (overlong labels fall back to the Python classifier).
+    The chain compacts on open, so a reader sees the bytes of a
+    from-scratch pack of the union; a lone base opens as itself.  A
+    broken chain binding raises ``ValueError`` (see :func:`compact`).
     """
-
-    def __init__(self, base: PackedZone, deltas: Sequence[DeltaSegment],
-                 strict: bool = True) -> None:
-        self.base = base
-        self.deltas = list(deltas)
-        if strict:
-            expected = base.content_digest
-            for segment in self.deltas:
-                if segment.base_digest != expected:
-                    raise ValueError(
-                        f"delta segment seq={segment.seq} was built against "
-                        f"base {segment.base_digest[:12]}…, got "
-                        f"{expected[:12]}…")
-                # chained deltas may reference either the shared base or
-                # the previous delta; we only pin the shared base here
-        seqs = [segment.seq for segment in self.deltas]
-        if seqs != sorted(seqs):
-            raise ValueError(f"delta segments out of order: {seqs}")
-        self._zones = [base] + [segment.zone for segment in self.deltas]
-        self.fault_injector = None
-        self._union: Optional[Dict[str, Tuple[int, int]]] = None
-        self._regs: Optional[Dict[str, int]] = None
-        self._overlay: Optional[Tuple[Dict[str, int], set]] = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def load_chain(cls, base_path: PathLike,
-                   delta_paths: Sequence[PathLike],
-                   strict: bool = True) -> "SegmentedZone":
-        return cls(PackedZone.load(base_path),
-                   [DeltaSegment.load(path) for path in delta_paths],
-                   strict=strict)
-
-    def paths(self) -> List[Path]:
-        """Backing files (base first), spilling temp files as needed."""
-        out = [self.base.ensure_file()]
-        out.extend(segment.zone.ensure_file() for segment in self.deltas)
-        return out
-
-    @property
-    def generation(self) -> int:
-        """The newest constituent's publish generation."""
-        if self.deltas:
-            return self.deltas[-1].zone.generation
-        return self.base.generation
-
-    @property
-    def content_digest(self) -> str:
-        """Content digest of the *logical union* (chain of file digests).
-
-        Two segmented zones with identical (base, delta...) constituents
-        share a digest; the digest changes whenever any constituent
-        does.  It deliberately does not equal the compacted snapshot's
-        digest — this one is computable without replaying the union.
-        """
-        hasher = hashlib.sha256()
-        hasher.update(b"segmented-zone\n")
-        for zone in self._zones:
-            hasher.update(zone.content_digest.encode("ascii"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
-
-    def verify(self) -> None:
-        """Verify every constituent file's payload digest.
-
-        The union is a pure function of the constituent files, so
-        per-file digests cover the logical union; a corrupt base or
-        delta raises :class:`PackedZoneCorruptError`.
-        """
-        for zone in self._zones:
-            zone.verify()
-
-    @property
-    def nbytes(self) -> int:
-        return sum(zone.nbytes for zone in self._zones)
-
-    # ------------------------------------------------------------------
-    # lazy union indexes
-    # ------------------------------------------------------------------
-    def _names(self) -> Dict[str, Tuple[int, int]]:
-        if self._union is None:
-            self._union = _replay_union(self.base, self.deltas)
-        return self._union
-
-    def _registered_index(self) -> Dict[str, int]:
-        """Registered domain -> live-name count, union first-seen order."""
-        if self._regs is None:
-            # derived from the final union map: tombstone bookkeeping
-            # against arbitrary interleavings (a tombstone may target a
-            # name the base never had, a reg may die and come back) all
-            # collapses into "walk the union in order"
-            regs: Dict[str, int] = {}
-            for name in self._names():
-                reg = _registered(name)
-                if reg in regs:
-                    regs[reg] += 1
-                else:
-                    regs[reg] = 1
-            self._regs = regs
-        return self._regs
-
-    def _zone_record(self, ref: Tuple[int, int]) -> DNSRecord:
-        seg_idx, rec_id = ref
-        return self._zones[seg_idx].record_at(rec_id)
-
-    # ------------------------------------------------------------------
-    # ZoneStore read protocol
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._names())
-
-    def __iter__(self) -> Iterator[DNSRecord]:
-        return (self._zone_record(ref) for ref in self._names().values())
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower().rstrip(".") in self._names()
-
-    def get(self, name: str) -> Optional[DNSRecord]:
-        ref = self._names().get(name.lower().rstrip("."))
-        return None if ref is None else self._zone_record(ref)
-
-    def get_many(self, names: Iterable[str]) -> list:
-        lookup = self._names().get
-        out = []
-        for name in names:
-            ref = lookup(name.lower().rstrip("."))
-            out.append(MISS if ref is None else self._zone_record(ref))
-        return out
-
-    def resolve(self, name: str, snapshot: int = 0,
-                attempt: int = 0) -> Optional[DNSRecord]:
-        if self.fault_injector is not None:
-            self.fault_injector.check_dns(name.lower().rstrip("."),
-                                          snapshot, attempt)
-        return self.get(name)
-
-    def has_registered_domain(self, registered: str) -> bool:
-        return registered.lower() in self._registered_index()
-
-    def registered_domains(self) -> Iterator[str]:
-        return iter(self._registered_index())
-
-    def names_under(self, registered: str) -> List[str]:
-        registered = registered.lower()
-        return sorted(name for name in self._names()
-                      if _registered(name) == registered)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "records": len(self),
-            "registered_domains": len(self._registered_index()),
-            "core_labels": len({split_domain(reg)[0]
-                                for reg in self._registered_index()}),
-        }
-
-    # ------------------------------------------------------------------
-    # serving protocol (QueryEngine)
-    # ------------------------------------------------------------------
-    @property
-    def n_cores(self) -> int:
-        return self.base.n_cores
-
-    @property
-    def core_off(self) -> np.ndarray:
-        return self.base.core_off
-
-    @property
-    def core_blob(self) -> np.ndarray:
-        return self.base.core_blob
-
-    @property
-    def has_enrichment(self) -> bool:
-        # delta-added registrations have no enrichment rows; advertising
-        # base enrichment would gather columns with out-of-range ids
-        return False
-
-    @property
-    def enrichment_meta(self) -> None:
-        return None
-
-    def _overlay_ids(self) -> Tuple[Dict[str, int], set]:
-        """(delta-added reg -> synthetic id, base regs dead in the union).
-
-        Synthetic ids start at ``base.n_registered`` so they never
-        collide with base ids; they are stable for a given chain (union
-        first-seen order).
-        """
-        if self._overlay is None:
-            base_regs = self.base._regs()
-            added: Dict[str, int] = {}
-            live = self._registered_index()
-            for reg in live:
-                if reg not in base_regs:
-                    added[reg] = self.base.n_registered + len(added)
-            dead = {reg for reg in base_regs if reg not in live}
-            self._overlay = (added, dead)
-        return self._overlay
-
-    def registered_ids(self, names: Iterable[str]) -> np.ndarray:
-        """Union membership ids: base fast path + per-chain overlay.
-
-        Base members keep their base ids; registrations introduced by
-        deltas get synthetic ids ``>= base.n_registered``; base
-        registrations whose every name was tombstoned report ``-1``.
-        """
-        names = list(names)
-        out = self.base.registered_ids(names)
-        added, dead = self._overlay_ids()
-        if not added and not dead:
-            return out
-        for i, name in enumerate(names):
-            reg = _registered(name.lower().rstrip("."))
-            overlay = added.get(reg)
-            if overlay is not None:
-                out[i] = overlay
-            elif out[i] >= 0 and reg in dead:
-                out[i] = -1
-        return out
-
-    def reopen(self) -> "SegmentedZone":
-        return SegmentedZone.load_chain(
-            self.base.ensure_file(),
-            [segment.zone.ensure_file() for segment in self.deltas],
-            strict=False)
-
-    def compacted(self) -> PackedZone:
-        """The union as one fresh base snapshot (see :func:`compact`)."""
-        return compact(self.base, self.deltas)
+    return compact(PackedZone.load(base_path),
+                   [DeltaSegment.load(path) for path in delta_paths])

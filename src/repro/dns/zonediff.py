@@ -411,8 +411,8 @@ def diff_packed(a: PackedZone, b: PackedZone) -> DiffTable:
 def _zone_rows(zone) -> Dict[str, Tuple[str, str, str]]:
     """``name -> (ip, record_type, source)`` in record order.
 
-    Accepts anything iterable of :class:`DNSRecord` — ``ZoneStore``,
-    ``PackedZone``, ``SegmentedZone`` — so the oracle stays format-blind.
+    Accepts anything iterable of :class:`DNSRecord` — ``ZoneStore`` or
+    ``PackedZone`` — so the oracle stays format-blind.
     """
     rows: Dict[str, Tuple[str, str, str]] = {}
     for record in zone:
@@ -500,9 +500,3 @@ def apply_diff(a: PackedZone, diff: DiffTable) -> PackedZone:
         builder.add_name(name, ip=ip, record_type=rtype, source=source)
     return builder.build()
 
-
-def diff_zones(a, b) -> DiffTable:
-    """Dispatch: packed kernel when both sides are packed, else oracle."""
-    if isinstance(a, PackedZone) and isinstance(b, PackedZone):
-        return diff_packed(a, b)
-    return diff_serial(a, b)

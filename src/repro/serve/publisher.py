@@ -15,8 +15,9 @@ generation is answering.
 The streaming path extends the pointer to a *chain*: one tab-separated
 line ``generation<TAB>base<TAB>delta1<TAB>...``.  :meth:`current` keeps
 returning the first two fields (pre-streaming readers see the base);
-chain-aware readers call :meth:`current_chain` and open the union as a
-:class:`~repro.dns.deltazone.SegmentedZone`.  :meth:`publish_delta`
+chain-aware readers call :meth:`current_chain` and open the union with
+:func:`~repro.dns.deltazone.load_chain`, which compacts it into one
+snapshot.  :meth:`publish_delta`
 appends one delta segment and bumps the generation; :meth:`publish`
 resets the chain to a lone base (a compaction boundary).
 """

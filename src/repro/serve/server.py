@@ -7,12 +7,16 @@ engine, and merges the result.
 
 Hot reload: before each dispatch the front polls the
 :class:`~repro.serve.publisher.SnapshotPublisher` (when given one); when
-a strictly newer generation is published, the engine reopens the
-published file (or base+delta chain) and swaps to it before the batch
-runs.  So batch *i* is answered by the newest generation published
+a strictly newer generation is published, the engine reopens it and
+swaps to it before the batch runs.  A lone base opens as itself; a
+base+delta chain opens through :func:`~repro.dns.deltazone.load_chain`,
+which compacts it into one ``PackedZone`` with the bytes of a
+from-scratch pack of the union, so the engine only ever serves packed
+snapshots.  So batch *i* is answered by the newest generation published
 before its dispatch, which depends only on the publish schedule.  Every
 verdict is pure in (name, generation), so correctness is per-request
-checkable regardless (see ``offline_verdicts``).
+checkable regardless (see ``offline_verdicts``).  The reopen is charged
+to the run's wall clock, not to any batch's service time.
 
 Latency accounting mixes two clocks on purpose: arrivals and dispatch
 times are simulated time from the batch plan, service time is measured
@@ -28,8 +32,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.dns.deltazone import load_chain
 from repro.dns.packedzone import PackedZone
 from repro.faults.clock import SimClock
 from repro.perf.report import KernelStats
@@ -80,34 +85,12 @@ class ServeStats:
         }
 
 
-def _open_pathspec(pathspec: str):
-    """mmap one snapshot, or a newline-joined base+delta chain (the
-    streaming publisher's ``current_chain``) as a SegmentedZone."""
-    paths = [entry for entry in pathspec.split("\n") if entry]
-    if len(paths) == 1:
-        return PackedZone.load(paths[0])
-    from repro.dns.deltazone import SegmentedZone  # lazy: no import cycle
-    return SegmentedZone.load_chain(paths[0], paths[1:])
-
-
-BatchTask = Tuple[int, str, Tuple[str, ...], float]
-BatchResult = Tuple[List[Verdict], float, int, KernelStats]
-
-
-def _serve_on(engine: QueryEngine, task: BatchTask) -> BatchResult:
-    """(verdicts, service seconds, negcache hits, kernel delta) for one
-    batch task ``(generation, pathspec, names, dispatch time)``; the
-    engine first swaps to the task's generation if it is behind."""
-    generation, path, names, now = task
-    if engine.generation != generation:
-        engine.reload(_open_pathspec(path), generation)
-    hits_before = engine.stats.negcache_hits
-    before = engine.stats.kernel.copy()
+def _serve_on(engine: QueryEngine, names: Sequence[str],
+              now: float) -> Tuple[List[Verdict], float]:
+    """(verdicts, service seconds) for one batch dispatched at ``now``."""
     started = time.perf_counter()
     verdicts = engine.lookup_batch(list(names), now=now)
-    elapsed = time.perf_counter() - started
-    return (verdicts, elapsed, engine.stats.negcache_hits - hits_before,
-            engine.stats.kernel.delta(before))
+    return verdicts, time.perf_counter() - started
 
 
 def serve_load(detector, zone: PackedZone,
@@ -141,7 +124,6 @@ def serve_load(detector, zone: PackedZone,
         scorer=scorer)
 
     generation = zone.generation
-    path = ""
     results: List[List[Verdict]] = []
     latencies: List[float] = []
     free_at = float("-inf")  # sim time the engine finishes its last batch
@@ -152,20 +134,19 @@ def serve_load(detector, zone: PackedZone,
             state = publisher.current_chain()
             if state is not None and state[0] > generation:
                 generation, base, deltas = state
-                path = "\n".join(str(p) for p in [base, *deltas])
+                engine.reload(load_chain(base, deltas), generation)
                 stats.generation_swaps += 1
         clock.advance_to(batch.dispatch_at)
-        verdicts, service, hits, kernel = _serve_on(
-            engine, (generation, path, batch.names, batch.dispatch_at))
+        verdicts, service = _serve_on(engine, batch.names, batch.dispatch_at)
         results.append(verdicts)
         stats.service_seconds += service
-        stats.negcache_hits += hits
-        stats.kernel.merge(kernel)
         free_at = max(batch.dispatch_at, free_at) + service
         latencies.extend((free_at - arrival) * 1e3
                          for arrival in batch.arrivals)
 
     stats.wall_seconds = time.perf_counter() - started
+    stats.negcache_hits = engine.stats.negcache_hits
+    stats.kernel = engine.stats.kernel
     verdicts = [verdict for chunk in results for verdict in chunk]
     stats.queries = len(verdicts)
     stats.dropped = len(requests) - len(verdicts)

@@ -17,8 +17,8 @@ import pytest
 
 import repro.durable
 from repro.brands import build_paper_catalog
-from repro.dns.deltazone import DeltaSegment, SegmentedZone
-from repro.dns.packedzone import stamp_generation
+from repro.dns.deltazone import DeltaSegment, load_chain
+from repro.dns.packedzone import PackedZone, stamp_generation
 from repro.phishworld.events import EventTapeConfig
 from repro.serve import SnapshotPublisher
 from repro.squatting.detector import SquattingDetector
@@ -97,7 +97,10 @@ def _published_chain_verifies(publisher):
     if chain is None:
         return
     _generation, base_path, delta_paths = chain
-    SegmentedZone.load_chain(base_path, delta_paths).verify()
+    PackedZone.load(base_path).verify()
+    for path in delta_paths:
+        DeltaSegment.load(path).verify()
+    load_chain(base_path, delta_paths)     # raises on a broken binding
 
 
 def test_stream_survives_a_crash_at_every_write(detector, clean_stream,

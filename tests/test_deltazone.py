@@ -1,4 +1,4 @@
-"""Delta segments, the segmented read protocol, and compaction identity.
+"""Delta segments, chain binding, and compaction identity.
 
 The load-bearing invariant (DESIGN.md §14): replaying (base + ordered
 deltas) — tombstones first, then net adds in local order — reproduces the
@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from repro.dns.deltazone import (
     DeltaSegment,
     DeltaSegmentBuilder,
-    SegmentedZone,
     compact,
     is_delta_file,
+    load_chain,
 )
 from repro.dns.packedzone import (
     PackedZone,
@@ -102,7 +102,7 @@ def test_plain_packed_zone_is_not_a_segment():
 
 
 # ----------------------------------------------------------------------
-# segmented read protocol
+# reading a chain: it compacts into one snapshot
 # ----------------------------------------------------------------------
 
 def chain_with_changes():
@@ -117,9 +117,17 @@ def chain_with_changes():
     return base, [first.build(1, digest), second.build(2, digest)]
 
 
+def save_deltas(tmp_path, deltas):
+    paths = []
+    for segment in deltas:
+        paths.append(tmp_path / f"seg-{segment.seq:05d}.pzon")
+        segment.save(paths[-1])
+    return paths
+
+
 def test_segmented_matches_zonestore_replay():
     base, deltas = chain_with_changes()
-    segmented = SegmentedZone(base, deltas)
+    compacted = compact(base, deltas)
     oracle = ZoneStore()
     for name, ip in BASE_NAMES:
         oracle.add_name(name, ip=ip)
@@ -128,67 +136,75 @@ def test_segmented_matches_zonestore_replay():
     oracle.add_name("login.delta.pw", ip="4.4.4.5")
     oracle.add_name("alpha.com", ip="9.9.9.9")
 
-    assert len(segmented) == len(oracle)
-    assert [r.name for r in segmented] == [r.name for r in oracle]
-    assert list(segmented.registered_domains()) == \
+    assert len(compacted) == len(oracle)
+    assert [r.name for r in compacted] == [r.name for r in oracle]
+    assert list(compacted.registered_domains()) == \
         list(oracle.registered_domains())
-    assert segmented.get("alpha.com").ip == "9.9.9.9"
-    assert segmented.get("beta.net") is None
-    assert "beta.net" not in segmented
-    assert segmented.has_registered_domain("delta.pw")
-    assert not segmented.has_registered_domain("beta.net")
-    assert segmented.names_under("delta.pw") == \
+    assert compacted.get("alpha.com").ip == "9.9.9.9"
+    assert compacted.get("beta.net") is None
+    assert "beta.net" not in compacted
+    assert compacted.has_registered_domain("delta.pw")
+    assert not compacted.has_registered_domain("beta.net")
+    assert compacted.names_under("delta.pw") == \
         ["delta.pw", "login.delta.pw"]
-    assert segmented.stats() == oracle.stats()
+    assert compacted.stats() == oracle.stats()
 
 
-def test_segmented_digest_and_compaction_identity():
+def test_segmented_digest_and_compaction_identity(tmp_path):
     base, deltas = chain_with_changes()
-    segmented = SegmentedZone(base, deltas)
-    segmented.verify()
-    compacted = segmented.compacted()
+    compacted = compact(base, deltas)
+    compacted.verify()
     oracle = ZoneStore()
-    for record in segmented:
+    for record in compacted:
         oracle.add_name(record.name, ip=record.ip, source=record.source)
     assert compacted.to_bytes() == pack_zone(oracle).to_bytes()
-    # the chain digest is content-addressed but distinct from the
-    # compacted snapshot's digest (computable without replay)
-    assert segmented.content_digest != compacted.content_digest
-    assert SegmentedZone(base, deltas).content_digest == \
-        segmented.content_digest
+    # opening the chain from its files lands on the same digest
+    base.save(tmp_path / "base.pzon")
+    opened = load_chain(tmp_path / "base.pzon", save_deltas(tmp_path, deltas))
+    assert opened.content_digest == compacted.content_digest
+    # a lone base opens as itself
+    assert load_chain(tmp_path / "base.pzon", []).to_bytes() == \
+        base.to_bytes()
 
 
-def test_registered_ids_overlay():
+def test_registered_ids_of_compacted_chain():
     base, deltas = chain_with_changes()
-    segmented = SegmentedZone(base, deltas)
-    ids = segmented.registered_ids(
+    compacted = compact(base, deltas)
+    ids = compacted.registered_ids(
         ["alpha.com", "www.alpha.com", "beta.net", "delta.pw",
          "login.delta.pw", "unknown.io"])
     assert ids[0] == ids[1] >= 0                  # base member, by reg
     assert ids[2] == -1                           # tombstoned base reg
-    assert ids[3] == ids[4] >= base.n_registered  # delta-added, synthetic
+    assert ids[3] == ids[4] >= 0                  # delta-added reg
     assert ids[5] == -1                           # never present
 
 
-def test_strict_chain_validation():
+def test_strict_chain_validation(tmp_path):
     base, deltas = chain_with_changes()
     other = base_zone([("different.com", "8.8.8.8")])
     with pytest.raises(ValueError):
-        SegmentedZone(other, deltas)              # wrong base digest
+        compact(other, deltas)                    # wrong base digest
     with pytest.raises(ValueError):
-        SegmentedZone(base, [deltas[1], deltas[0]])   # out of order
-    # strict=False accepts both (the reopen path after compaction)
-    assert len(SegmentedZone(other, deltas, strict=False)) > 0
+        compact(base, [deltas[1], deltas[0]])     # out of order
+    with pytest.raises(ValueError):
+        compact(base, [deltas[0], deltas[0]])     # repeated seq
+    other.save(tmp_path / "other.pzon")
+    base.save(tmp_path / "base.pzon")
+    paths = save_deltas(tmp_path, deltas)
+    with pytest.raises(ValueError):
+        load_chain(tmp_path / "other.pzon", paths)
+    with pytest.raises(ValueError):
+        load_chain(tmp_path / "base.pzon", paths[::-1])
 
 
 def test_segmented_verify_covers_every_constituent(tmp_path):
-    base, deltas = chain_with_changes()
+    _base, deltas = chain_with_changes()
     corrupt = bytearray(deltas[1].zone.to_bytes())
     corrupt[-1] ^= 0xFF
-    broken = DeltaSegment(PackedZone.from_bytes(bytes(corrupt)))
-    segmented = SegmentedZone(base, [deltas[0], broken], strict=False)
+    path = tmp_path / "seg-00002.pzon"
+    path.write_bytes(bytes(corrupt))
     with pytest.raises(PackedZoneCorruptError):
-        segmented.verify()
+        DeltaSegment.load(path).verify()
 
 
 def test_compact_empty_deltas_is_identity():
@@ -223,14 +239,13 @@ def test_tombstone_for_never_registered_domain_is_noop():
     segment = builder.build(1, base.content_digest)
     assert "never-was-here.io" in segment.tombstones
 
-    segmented = SegmentedZone(base, [segment])
+    compacted = compact(base, [segment])
     oracle = ZoneStore()
     for name, ip in BASE_NAMES:
         oracle.add_name(name, ip=ip)
     oracle.add_name("delta.pw", ip="4.4.4.4")
-    assert [r.name for r in segmented] == [r.name for r in oracle]
-    assert compact(base, [segment]).to_bytes() == \
-        pack_zone(oracle).to_bytes()
+    assert [r.name for r in compacted] == [r.name for r in oracle]
+    assert compacted.to_bytes() == pack_zone(oracle).to_bytes()
 
 
 def test_reregistration_after_tombstone_within_one_chain():
@@ -251,11 +266,11 @@ def test_reregistration_after_tombstone_within_one_chain():
     oracle.remove("beta.net")
     oracle.add_name("beta.net", ip="66.6.6.6")
 
-    segmented = SegmentedZone(base, segments)
-    assert [r.name for r in segmented] == [r.name for r in oracle]
-    assert [r.name for r in segmented][-1] == "beta.net"
-    assert segmented.get("beta.net").ip == "66.6.6.6"
-    assert compact(base, segments).to_bytes() == pack_zone(oracle).to_bytes()
+    compacted = compact(base, segments)
+    assert [r.name for r in compacted] == [r.name for r in oracle]
+    assert [r.name for r in compacted][-1] == "beta.net"
+    assert compacted.get("beta.net").ip == "66.6.6.6"
+    assert compacted.to_bytes() == pack_zone(oracle).to_bytes()
 
 
 # ----------------------------------------------------------------------

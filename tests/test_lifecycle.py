@@ -1,5 +1,8 @@
 """Lifecycle analytics: worker invariance, oracle equality, report shape."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.analysis.lifecycle import (
@@ -10,6 +13,7 @@ from repro.analysis.lifecycle import (
     lifecycle_report,
 )
 from repro.brands import build_paper_catalog
+from repro.perf import engine
 from repro.phishworld.series import SeriesConfig, generate_series
 from repro.squatting.detector import SquattingDetector
 
@@ -27,11 +31,31 @@ def detector():
     return SquattingDetector(build_paper_catalog(200))
 
 
-def test_diff_chain_is_worker_count_invariant(series):
+@pytest.mark.parametrize("worker_counts,start_method", [
+    pytest.param((1, 2, 4), None, id="1-2-4"),
+    pytest.param((1, 2), "forkserver", id="2-forkserver"),
+])
+def test_diff_chain_is_worker_count_invariant(series, worker_counts,
+                                              start_method, monkeypatch):
+    started = []
+    if start_method is not None:
+        # forkserver (the Linux default from Python 3.14) workers import
+        # repro afresh, mmap the pair files by path and pickle each
+        # DiffTable back
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method here")
+        mp_context = multiprocessing.get_context(start_method)
+
+        def pool(**kwargs):
+            started.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(mp_context=mp_context, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
     chains = {workers: diff_chain_digest(diff_series(series,
                                                      workers=workers))
-              for workers in (1, 2, 4)}
+              for workers in worker_counts}
     assert len(set(chains.values())) == 1
+    assert started or start_method is None
 
 
 def test_parallel_chain_equals_serial_oracle(series):

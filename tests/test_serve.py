@@ -427,9 +427,9 @@ def test_serve_load_latency_counts_the_backlog(detector, zone, monkeypatch):
     # request waits 9i ms before its own 10 ms of service
     serve_on = server._serve_on
 
-    def fixed_service(engine, task):
-        verdicts, _service, hits, kernel = serve_on(engine, task)
-        return verdicts, 0.010, hits, kernel
+    def fixed_service(engine, names, now):
+        verdicts, _service = serve_on(engine, names, now)
+        return verdicts, 0.010
 
     monkeypatch.setattr(server, "_serve_on", fixed_service)
     names = [name for _, name in _requests(detector, zone, n=100)]

@@ -9,7 +9,7 @@ driver resumes from the artifact store onto the same bytes.
 import pytest
 
 from repro.brands import build_paper_catalog
-from repro.dns.deltazone import SegmentedZone
+from repro.dns.deltazone import load_chain
 from repro.dns.packedzone import PackedZone, pack_zone
 from repro.phishworld.events import (
     EventTapeConfig,
@@ -126,7 +126,7 @@ def test_publisher_chain_grows_and_serving_sees_deltas(detector, tmp_path):
     assert len(delta_paths) == 2
     assert generation == 3                   # base + two delta publishes
 
-    chain = SegmentedZone.load_chain(base_path, delta_paths)
+    chain = load_chain(base_path, delta_paths)
     chain.verify()
     engine = QueryEngine(detector, chain, generation=generation)
     streamed = [m.domain for m in outcome.matches][:5]
@@ -149,7 +149,7 @@ def test_serve_load_hot_reloads_published_deltas(detector, tmp_path):
     driver = make_driver(detector, publisher=publisher, compact_every=4)
     outcome = driver.run(limit_segments=2)
     generation, base_path, delta_paths = publisher.current_chain()
-    chain = SegmentedZone.load_chain(base_path, delta_paths)
+    chain = load_chain(base_path, delta_paths)
 
     # a delta-added squat: present in the chain, absent from the base
     base = PackedZone.load(base_path)
